@@ -206,9 +206,6 @@ def _figure1() -> PlaneGraph:
     })
 
 
-FIGURE1_NAMES = {"v": 0, "v1": 1, "v2": 2, "v3": 3, "v4": 4, "v5": 5, "v6": 6, "v8": 7}
-
-
 def generate(name: str) -> PlaneGraph:
     """Build a catalog graph by name.  Raises ValueError on unknown names."""
     key = name.strip().lower()

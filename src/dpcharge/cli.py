@@ -207,7 +207,7 @@ def _cmd_discharge(args) -> int:
     else:
         print("  all final charges non-negative")
     if args.json_out:
-        doc = ledger_to_json(ledger)
+        doc = ledger_to_json(ledger, report)
         doc["version"] = TOOL_VERSION
         doc["command"] = f"discharge {args.file} --rules {args.rules}"
         doc["input_hash"] = input_hash(serialize_rotation_file(g, name))
@@ -287,8 +287,21 @@ def _cmd_verify(args) -> int:
             doc = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise CliError(f"cannot read transversal: {exc}")
-    cover = cover_from_json(json.dumps(doc["cover"]), graph=g)
-    assignment = {int(v): c for v, c in doc["assignment"].items()}
+    if not isinstance(doc, dict):
+        raise CliError("transversal file is not a JSON object")
+    for key in ("cover", "assignment"):
+        if key not in doc:
+            raise CliError(f"transversal file has no {key!r} entry")
+    recorded = doc.get("graph_hash")
+    actual = input_hash(serialize_rotation_file(g, name))
+    if recorded is not None and recorded != actual:
+        raise CliError(f"transversal was recorded for graph hash {recorded}, "
+                       f"but {args.file} hashes to {actual}")
+    try:
+        cover = cover_from_json(json.dumps(doc["cover"]), graph=g)
+        assignment = {int(v): c for v, c in doc["assignment"].items()}
+    except (KeyError, TypeError, AttributeError) as exc:
+        raise CliError(f"malformed transversal: {exc!r}")
     check_order = args.order or ("order" in doc and not args.defects)
     ok = True
     if check_order:
@@ -340,6 +353,8 @@ def _cmd_hunt(args) -> int:
         seeds = _parse_seed_range(args.seeds)
     except ValueError:
         raise CliError(f"bad seed range {args.seeds!r}, expected A..B")
+    if not seeds:
+        raise CliError(f"empty seed range {args.seeds!r}: A must not exceed B")
     profile = Profile(args.profile)
     command = (f"hunt --profile {args.profile} --k {args.k} "
                f"--seeds {args.seeds} {' '.join(names)}")

@@ -30,9 +30,6 @@ class Cover:
     matchings: Mapping[tuple[int, int], tuple[Pair, ...]]  # key (u, v), u < v
     provenance: tuple[tuple[str, object], ...] = ()
 
-    def colors(self, v: int) -> tuple[int, ...]:
-        return self.lists[v]
-
     def nodes(self) -> Iterator[Node]:
         for v in self.graph.vertices():
             for c in self.lists[v]:

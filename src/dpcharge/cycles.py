@@ -1,4 +1,4 @@
-"""Exhaustive fixed-length cycle enumeration.
+"""Fixed-length cycle search: exhaustive enumeration or the first witness.
 
 Cycles are reported in canonical rotation: the walk starts at the
 lexicographically least vertex and runs toward the smaller of that
@@ -9,6 +9,7 @@ no rotation or reflection duplicates.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterator
 
 from .planegraph import PlaneGraph
 
@@ -30,41 +31,57 @@ class CycleList:
         return iter(self.cycles)
 
 
-def cycles_of_length(graph: PlaneGraph, k: int) -> CycleList:
-    """All simple k-cycles of the graph, canonical and duplicate-free.
+def _canonical_cycles(graph: PlaneGraph, k: int) -> Iterator[tuple[int, ...]]:
+    """The simple k-cycles in canonical form, in lexicographic order.
 
-    k must lie in 3..12; longer enumeration is out of scope.
+    A depth-first search from each start vertex over ascending neighbors
+    visits paths in lexicographic order, so the first cycle it yields is
+    the least one.
     """
     if k < 3:
         raise ValueError(f"cycle length must be at least 3, got {k}")
     if k > MAX_CYCLE_LENGTH:
         raise ValueError(f"cycle length capped at {MAX_CYCLE_LENGTH}, got {k}")
     adj = graph.adjacency
-    found: list[tuple[int, ...]] = []
+    nbrs = [sorted(a) for a in adj]
     path = [0] * k
     on_path = [False] * graph.vertex_count
 
-    def extend(start: int, depth: int) -> None:
+    def extend(start: int, depth: int) -> Iterator[tuple[int, ...]]:
         last = path[depth - 1]
-        if depth == k:
-            # close the cycle; path[1] < path[-1] kills the reflected copy
-            if start in adj[last] and path[1] < path[k - 1]:
-                found.append(tuple(path))
+        if depth == k - 1:
+            # the last vertex closes the cycle; path[1] < path[-1] kills the
+            # reflected copy (and implies the vertex is above start)
+            for w in nbrs[last]:
+                if w > path[1] and not on_path[w] and start in adj[w]:
+                    path[depth] = w
+                    yield tuple(path)
             return
-        for w in sorted(adj[last]):
+        for w in nbrs[last]:
             if w > start and not on_path[w]:
                 path[depth] = w
                 on_path[w] = True
-                extend(start, depth + 1)
+                yield from extend(start, depth + 1)
                 on_path[w] = False
 
     for s in range(graph.vertex_count):
         path[0] = s
         on_path[s] = True
-        extend(s, 1)
+        yield from extend(s, 1)
         on_path[s] = False
-    found.sort()
-    return CycleList(k, tuple(found))
+
+
+def cycles_of_length(graph: PlaneGraph, k: int) -> CycleList:
+    """All simple k-cycles of the graph, canonical, duplicate-free, sorted.
+
+    k must lie in 3..12; longer enumeration is out of scope.
+    """
+    return CycleList(k, tuple(_canonical_cycles(graph, k)))
+
+
+def find_cycle(graph: PlaneGraph, k: int) -> tuple[int, ...] | None:
+    """The least canonical k-cycle, or None; stops at the first one found."""
+    return next(_canonical_cycles(graph, k), None)
 
 
 def has_chord(graph: PlaneGraph, cycle: tuple[int, ...]) -> bool:

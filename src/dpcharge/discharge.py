@@ -87,15 +87,6 @@ class ChargeLedger:
             out[t.target] += t.amount
         return out
 
-    def final_charge(self, key: str) -> Fraction:
-        mu = self.initial[key]
-        for t in self.transfers:
-            if t.source == key:
-                mu -= t.amount
-            if t.target == key:
-                mu += t.amount
-        return mu
-
     def sum_initial(self) -> Fraction:
         return sum(self.initial.values(), Fraction(0))
 
@@ -287,12 +278,18 @@ def audit(ledger: ChargeLedger) -> AuditReport:
     hypothesis = check_profile(graph, profile)
     notes = tuple(hypothesis.notes())
     reducible = find_reducible(graph)
+    # configuration indices by vertex, so each negative element looks up
+    # only the configurations that touch it, in their original order
+    by_vertex: dict[int, list[int]] = {}
+    for i, r in enumerate(reducible):
+        for v in r.vertices:
+            by_vertex.setdefault(v, []).append(i)
     negatives = []
     for key in sorted(final, key=lambda k: (k[0], int(k[1:]))):
         if final[key] >= 0:
             continue
-        near = _element_vertices(graph, key)
-        local = tuple(r for r in reducible if near & set(r.vertices))
+        hits = {i for v in _element_vertices(graph, key) for i in by_vertex.get(v, ())}
+        local = tuple(reducible[i] for i in sorted(hits))
         negatives.append(NegativeElement(key, final[key], local, notes))
     return AuditReport(
         sum_initial=total0,

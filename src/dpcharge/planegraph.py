@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from typing import Mapping, Sequence
 
 
@@ -42,7 +43,7 @@ class Face:
         """Vertices in walk order (tails of the darts); may repeat."""
         return tuple(u for u, _ in self.walk)
 
-    @property
+    @cached_property
     def vertex_set(self) -> frozenset[int]:
         return frozenset(u for u, _ in self.walk)
 
@@ -50,7 +51,7 @@ class Face:
     def edge_multiset(self) -> tuple[tuple[int, int], ...]:
         return tuple((min(u, v), max(u, v)) for u, v in self.walk)
 
-    @property
+    @cached_property
     def edge_set(self) -> frozenset[tuple[int, int]]:
         return frozenset(self.edge_multiset)
 
@@ -99,6 +100,8 @@ class PlaneGraph:
             for u, _ in f.walk:
                 corner[u].append(f.id)
         self._corner_faces = tuple(tuple(sorted(c)) for c in corner)
+        self._adjacent: tuple[tuple[Face, ...], ...] | None = None  # built on first use
+        self._hypotheses: dict = {}  # Profile -> HypothesisReport, see check_profile
 
     # -- basic queries -------------------------------------------------
 
@@ -135,9 +138,6 @@ class PlaneGraph:
     def incident_face_degrees(self, v: int) -> tuple[int, ...]:
         return tuple(sorted(self.faces[f].degree for f in self._corner_faces[v]))
 
-    def faces_of_degree(self, k: int) -> list[Face]:
-        return [f for f in self.faces if f.degree == k]
-
     # -- face adjacency ------------------------------------------------
 
     def shared_edges(self, f1: Face, f2: Face) -> frozenset[tuple[int, int]]:
@@ -162,13 +162,18 @@ class PlaneGraph:
             return AdjacencyKind.VERTEX_ONLY
         return AdjacencyKind.DISJOINT
 
-    def adjacent_faces(self, f: Face) -> list[Face]:
-        """Faces sharing at least one edge with f, each listed once."""
-        out = []
-        for g in self.faces:
-            if g.id != f.id and f.edge_set & g.edge_set:
-                out.append(g)
-        return out
+    def adjacent_faces(self, f: Face) -> tuple[Face, ...]:
+        """Faces sharing at least one edge with f, each listed once, by id.
+
+        The face across the dart (u, v) is the face of (v, u), so the
+        whole dual adjacency is one pass over the darts, done once.
+        """
+        if self._adjacent is None:
+            fod = self._face_of_dart
+            self._adjacent = tuple(
+                tuple(self.faces[i] for i in sorted({fod[(v, u)] for u, v in h.walk} - {h.id}))
+                for h in self.faces)
+        return self._adjacent[f.id]
 
     def __repr__(self) -> str:
         return (f"PlaneGraph(V={self.vertex_count}, E={self.edge_count}, "
@@ -205,20 +210,20 @@ def _canonical_walk(walk: list[Dart]) -> list[Dart]:
 
 
 def _components(rotations: Sequence[Sequence[int]]) -> list[frozenset[int]]:
-    n = len(rotations)
-    unseen = set(range(n))
+    seen = [False] * len(rotations)
     comps = []
-    while unseen:
-        root = min(unseen)
-        comp = {root}
+    for root in range(len(rotations)):
+        if seen[root]:
+            continue
+        seen[root] = True
+        comp = [root]
         stack = [root]
-        unseen.discard(root)
         while stack:
             u = stack.pop()
             for v in rotations[u]:
-                if v in unseen:
-                    unseen.discard(v)
-                    comp.add(v)
+                if not seen[v]:
+                    seen[v] = True
+                    comp.append(v)
                     stack.append(v)
         comps.append(frozenset(comp))
     return comps

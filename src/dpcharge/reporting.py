@@ -17,10 +17,6 @@ def frac_str(x: Fraction | int) -> str:
     return f"{f.numerator}/{f.denominator}" if f.denominator != 1 else str(f.numerator)
 
 
-def parse_frac(s: str) -> Fraction:
-    return Fraction(s)
-
-
 def input_hash(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()[:16]
 
@@ -29,12 +25,16 @@ def dump_json(doc: dict) -> str:
     return json.dumps(doc, sort_keys=True, indent=1)
 
 
-def ledger_to_json(ledger) -> dict:
-    """Ledger as a JSON document: charges as "p/q", itemized transfers."""
+def ledger_to_json(ledger, report=None) -> dict:
+    """Ledger as a JSON document: charges as "p/q", itemized transfers.
+
+    ``report`` is the ledger's audit when the caller already has it.
+    """
     from .discharge import audit
 
     final = ledger.final()
-    report = audit(ledger)
+    if report is None:
+        report = audit(ledger)
     return {
         "ruleset": ledger.ruleset.value if ledger.ruleset else None,
         "initial": {k: frac_str(v) for k, v in sorted(ledger.initial.items())},

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from .cycles import cycles_of_length
+from .cycles import find_cycle
 from .planegraph import PlaneGraph
 
 
@@ -37,9 +37,6 @@ class VertexClassification:
     good3: frozenset[int]
     special: frozenset[int]
 
-    def is_three(self, v: int) -> bool:
-        return self.degrees[v] == 3
-
     def is_bad(self, v: int) -> bool:
         return v in self.bad3
 
@@ -48,14 +45,6 @@ class VertexClassification:
 
     def is_special(self, v: int) -> bool:
         return v in self.special
-
-    def degree_class(self, v: int) -> str:
-        d = self.degrees[v]
-        if d >= 6:
-            return "6+"
-        if d <= 2:
-            return f"{d}"
-        return str(d)
 
 
 def classify_vertices(graph: PlaneGraph) -> VertexClassification:
@@ -118,24 +107,32 @@ class HypothesisReport:
 
 
 def check_profile(graph: PlaneGraph, profile: Profile) -> HypothesisReport:
-    lengths = profile.forbidden_lengths
-    four = cycles_of_length(graph, 4)
-    other = cycles_of_length(graph, lengths[1])
+    """The hypothesis report, computed once per graph and profile.
+
+    Each witness is the least canonical cycle of its length.  The report
+    is kept on the graph, so it lives as long as the graph does.
+    """
+    cached = graph._hypotheses.get(profile)
+    if cached is not None:
+        return cached
+    other_length = profile.forbidden_lengths[1]
     min_deg = graph.min_degree()
     witness = None
     for v in graph.vertices():
         if graph.degree(v) == min_deg:
             witness = v
             break
-    return HypothesisReport(
+    report = HypothesisReport(
         profile=profile,
         connected=graph.is_connected,
         min_degree=min_deg,
         min_degree_witness=witness,
-        four_cycle=four.cycles[0] if four else None,
-        other_length=lengths[1],
-        other_cycle=other.cycles[0] if other else None,
+        four_cycle=find_cycle(graph, 4),
+        other_length=other_length,
+        other_cycle=find_cycle(graph, other_length),
     )
+    graph._hypotheses[profile] = report
+    return report
 
 
 @dataclass(frozen=True)

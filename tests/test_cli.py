@@ -138,3 +138,39 @@ def test_hunt_cli(tmp_path, capsys):
 def test_version(capsys):
     code = cli_dispatch(["--version"])
     assert code == 0
+
+
+@pytest.mark.parametrize("seeds", ["9..3", "5..4"])
+def test_hunt_empty_seed_range_is_usage_error(seeds, capsys):
+    assert cli_dispatch(["hunt", "cycle:5", "--profile", "no46", "--seeds", seeds]) == 2
+    assert "empty seed range" in capsys.readouterr().err
+
+
+def _solved_transversal(tmp_path, graph_name):
+    g_path = tmp_path / "solved.pg"
+    t_path = tmp_path / "t.json"
+    assert cli_dispatch(["gen", graph_name, "-o", str(g_path)]) == 0
+    assert cli_dispatch(["solve", str(g_path), "--mode", "ba", "--cover", "random",
+                         "--seed", "3", "--full", "--json", str(t_path)]) == 0
+    return t_path
+
+
+def test_verify_against_other_graph_is_usage_error(tmp_path, capsys):
+    t_path = _solved_transversal(tmp_path, "cycle:5")
+    other = tmp_path / "other.pg"
+    assert cli_dispatch(["gen", "triangle", "-o", str(other)]) == 0
+    capsys.readouterr()
+    assert cli_dispatch(["verify", str(other), "--transversal", str(t_path)]) == 2
+    assert "graph hash" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("missing", ["cover", "assignment"])
+def test_verify_missing_key_is_usage_error(tmp_path, capsys, missing):
+    t_path = _solved_transversal(tmp_path, "cycle:5")
+    doc = json.loads(t_path.read_text())
+    del doc[missing]
+    t_path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    code = cli_dispatch(["verify", str(tmp_path / "solved.pg"), "--transversal", str(t_path)])
+    assert code == 2
+    assert f"no '{missing}'" in capsys.readouterr().err

@@ -3,7 +3,7 @@ from itertools import combinations, permutations
 import pytest
 
 from dpcharge.catalog import generate
-from dpcharge.cycles import cycles_of_length, has_chord
+from dpcharge.cycles import cycles_of_length, find_cycle, has_chord
 from dpcharge.planegraph import PlaneGraph
 
 
@@ -83,10 +83,11 @@ def test_cycles_are_canonical_and_simple(catalog):
 
 def test_length_bounds():
     g = generate("triangle")
-    with pytest.raises(ValueError):
-        cycles_of_length(g, 2)
-    with pytest.raises(ValueError):
-        cycles_of_length(g, 13)
+    for search in (cycles_of_length, find_cycle):
+        with pytest.raises(ValueError):
+            search(g, 2)
+        with pytest.raises(ValueError):
+            search(g, 13)
 
 
 def test_has_chord():

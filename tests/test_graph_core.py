@@ -1,0 +1,65 @@
+"""The graph-analysis core against the direct definitions it replaces.
+
+Face adjacency comes from dart reversal, the hypothesis witnesses from
+an early-exit cycle search, and the audit looks reducible configurations
+up by vertex; each is checked here against a plain rescan.
+"""
+
+import pytest
+
+from dpcharge.catalog import DEFAULT_CATALOG, generate
+from dpcharge.cycles import cycles_of_length, find_cycle
+from dpcharge.discharge import RuleSet, audit, run_rules
+from dpcharge.structure import Profile, check_profile, find_reducible
+
+GRAPHS = DEFAULT_CATALOG + (
+    "cycle:3", "cycle:4", "cycle:6", "cycle:8", "cycle:12",
+    "theta:0,1,2", "theta:1,1,1", "theta:2,2,2", "theta:1,3,5", "theta:2,4,6",
+)
+
+
+@pytest.fixture(scope="module", params=GRAPHS)
+def graph(request):
+    return generate(request.param)
+
+
+@pytest.mark.parametrize("k", range(3, 9))
+def test_find_cycle_is_first_enumerated(graph, k):
+    listed = cycles_of_length(graph, k)
+    assert list(listed.cycles) == sorted(listed.cycles)
+    assert find_cycle(graph, k) == (listed.cycles[0] if listed else None)
+
+
+def test_adjacent_faces_match_shared_edges(graph):
+    for f in graph.faces:
+        expected = [h for h in graph.faces
+                    if h.id != f.id and set(f.edge_multiset) & set(h.edge_multiset)]
+        assert list(graph.adjacent_faces(f)) == expected
+
+
+@pytest.mark.parametrize("profile", list(Profile))
+def test_check_profile_computed_once(graph, profile):
+    first = check_profile(graph, profile)
+    assert check_profile(graph, profile) is first
+    four = cycles_of_length(graph, 4)
+    other = cycles_of_length(graph, profile.forbidden_lengths[1])
+    assert first.four_cycle == (four.cycles[0] if four else None)
+    assert first.other_cycle == (other.cycles[0] if other else None)
+
+
+@pytest.mark.parametrize("rules", list(RuleSet))
+def test_audit_negatives_match_rescan(graph, rules):
+    if not graph.is_connected:
+        pytest.skip("discharging needs a connected graph")
+    ledger = run_rules(graph, rules)
+    report = audit(ledger)
+    final = ledger.final()
+    assert {n.key for n in report.negatives} == {k for k, x in final.items() if x < 0}
+    reducible = find_reducible(graph)
+    for n in report.negatives:
+        index = int(n.key[1:])
+        if n.key.startswith("v"):
+            near = {index} | set(graph.neighbors(index))
+        else:
+            near = set(graph.faces[index].vertex_set)
+        assert n.nearby_reducible == tuple(r for r in reducible if near & set(r.vertices))

@@ -1,3 +1,5 @@
+import time
+
 import pytest
 
 from dpcharge.catalog import DEFAULT_CATALOG, generate
@@ -69,3 +71,11 @@ def test_comments_and_blanks_ignored():
     text = "\n# hi\nplanegraph t\n\nn 2\n# mid\nv 0: 1\nv 1: 0\n\n"
     g, _ = parse_rotation_file(text)
     assert g.edge_count == 1
+
+
+def test_header_only_parse_is_linear():
+    # every vertex isolated: one component and one face per vertex
+    start = time.perf_counter()
+    g, _ = parse_rotation_file("planegraph big\nn 100000\n")
+    assert time.perf_counter() - start < 10
+    assert len(g.components) == 100000 and g.face_count == 100000
