@@ -8,6 +8,7 @@ candidate; 2 input or usage error; 3 search budget exhausted.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -44,6 +45,7 @@ def _load(path: str) -> tuple[PlaneGraph, str]:
         raise CliError(f"{path}: {exc}") from exc
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(prog="dpcharge",
                                   description="plane-graph coloring and discharging workbench")
@@ -134,7 +136,7 @@ def _cmd_structure(args) -> int:
     print(f"  {hyp.other_length}-cycle-free: {hyp.other_cycle_free}"
           + (f" (witness {hyp.other_cycle})" if hyp.other_cycle else ""))
     cls = classify_vertices(g)
-    print(f"  3-vertices: {sum(1 for v in g.vertices() if g.degree(v) == 3)} "
+    print(f"  3-vertices: {len(cls.bad3) + len(cls.good3)} "
           f"(bad {len(cls.bad3)}, good {len(cls.good3)}, special {len(cls.special)})")
     red = find_reducible(g)
     print(f"  reducible configurations: {len(red)}")
@@ -302,6 +304,9 @@ def _cmd_verify(args) -> int:
         assignment = {int(v): c for v, c in doc["assignment"].items()}
     except (KeyError, TypeError, AttributeError) as exc:
         raise CliError(f"malformed transversal: {exc!r}")
+    problems = validate_cover(cover)
+    if not problems.valid:
+        raise CliError("invalid cover: " + "; ".join(problems.violations))
     check_order = args.order or ("order" in doc and not args.defects)
     ok = True
     if check_order:

@@ -5,25 +5,8 @@ charge around without creating or destroying any, so the total stays at
 the Euler-forced -8 for a connected plane graph.  All arithmetic uses
 fractions.Fraction: no floats, no rounding, ever.
 
-Rule set RS48 (two phases):
-  R1  each 5+-vertex gives 1/4 to each adjacent bad 3-vertex
-  R2  each 5+-face gives 1/3 to each adjacent 3-face
-  R3  each 5-face gives 1/6 to each incident good 3-vertex and 1/12 to
-      each incident bad 3-vertex
-  R4  each 6- or 7-face gives 1/2 to each incident good 3-vertex and
-      1/4 to each incident bad 3-vertex
-  R5  each 8+-face gives 5/6 to each incident good 3-vertex and 5/12 to
-      each incident bad 3-vertex
-  R6  (second phase) each special 3-vertex receives the whole remaining
-      charge beta(f) of its incident 5-face
-
-Rule set RS46 (one phase):
-  R.1  each 5+-vertex gives 1/4 to each adjacent bad 3-vertex
-  R.2  each 5+-face gives 1/3 to each adjacent 3-face
-  R.3  each 5-face gives 1/3 to each incident good 3-vertex and 1/6 to
-       each incident bad 3-vertex
-  R.4  each 6+-face gives 1/2 to each incident good 3-vertex and 1/4 to
-       each incident bad 3-vertex
+Each rule set is one ``RuleTable`` in ``RULES``; a single interpreter
+runs every table.
 """
 
 from __future__ import annotations
@@ -47,10 +30,56 @@ class RuleSet(Enum):
 
     @property
     def allowed_amounts(self) -> frozenset[Fraction]:
-        if self is RuleSet.RS48:
-            return frozenset(Fraction(*pq) for pq in
-                             ((1, 4), (1, 3), (1, 6), (1, 12), (1, 2), (5, 6), (5, 12)))
-        return frozenset(Fraction(*pq) for pq in ((1, 4), (1, 3), (1, 6), (1, 2)))
+        return RULES[self].amounts
+
+
+@dataclass(frozen=True)
+class Band:
+    lo: int  # least face degree in the band; it ends below the next band's lo
+    rule: str
+    good: Fraction  # to each incident good 3-vertex
+    bad: Fraction  # to each incident bad 3-vertex
+
+
+@dataclass(frozen=True)
+class RuleTable:
+    """One rule set as data; ``run_rules`` interprets every table."""
+
+    vertex_rule: tuple[str, Fraction]  # each 5+-vertex -> each adjacent bad 3-vertex
+    triangle_rule: tuple[str, Fraction]  # each 5+-face -> each adjacent 3-face
+    bands: tuple[Band, ...]  # each face -> its incident 3-vertices, by degree
+    drain_rule: str | None  # phase 2: each special 3-vertex takes beta of its 5-face
+
+    @property
+    def amounts(self) -> frozenset[Fraction]:
+        return frozenset([self.vertex_rule[1], self.triangle_rule[1]]
+                         + [a for b in self.bands for a in (b.good, b.bad)])
+
+    def band(self, degree: int) -> Band | None:
+        return next((b for b in reversed(self.bands) if b.lo <= degree), None)
+
+
+RULES: dict[RuleSet, RuleTable] = {
+    RuleSet.RS48: RuleTable(
+        vertex_rule=("R1", Fraction(1, 4)),
+        triangle_rule=("R2", Fraction(1, 3)),
+        bands=(
+            Band(5, "R3", Fraction(1, 6), Fraction(1, 12)),  # 5-faces
+            Band(6, "R4", Fraction(1, 2), Fraction(1, 4)),  # 6- and 7-faces
+            Band(8, "R5", Fraction(5, 6), Fraction(5, 12)),  # 8+-faces
+        ),
+        drain_rule="R6",
+    ),
+    RuleSet.RS46: RuleTable(
+        vertex_rule=("R.1", Fraction(1, 4)),
+        triangle_rule=("R.2", Fraction(1, 3)),
+        bands=(
+            Band(5, "R.3", Fraction(1, 3), Fraction(1, 6)),  # 5-faces
+            Band(6, "R.4", Fraction(1, 2), Fraction(1, 4)),  # 6+-faces
+        ),
+        drain_rule=None,
+    ),
+}
 
 
 def vertex_key(v: int) -> str:
@@ -106,22 +135,19 @@ def initial_charges(graph: PlaneGraph) -> ChargeLedger:
     return ChargeLedger(graph, None, init)
 
 
-def _vertex_rules(graph: PlaneGraph, cls: VertexClassification, ledger: ChargeLedger,
-                  rule: str, phase: int) -> None:
-    # each 5+-vertex gives 1/4 to each adjacent bad 3-vertex
+def _phase1(graph: PlaneGraph, cls: VertexClassification, table: RuleTable,
+            ledger: ChargeLedger) -> None:
+    out = ledger.transfers
+    rule, amount = table.vertex_rule
     for v in graph.vertices():
         if graph.degree(v) < 5:
             continue
         for u in sorted(graph.neighbors(v)):
             if cls.is_bad(u):
-                ledger.transfers.append(
-                    Transfer(vertex_key(v), vertex_key(u), Fraction(1, 4), rule, phase))
-
-
-def _face_to_triangle_rules(graph: PlaneGraph, ledger: ChargeLedger,
-                            rule: str, phase: int) -> None:
-    # each 5+-face gives 1/3 to each adjacent 3-face, once per unordered
-    # pair; pairs sharing two or more edges are flagged for review
+                out.append(Transfer(vertex_key(v), vertex_key(u), amount, rule, 1))
+    # once per unordered face pair; pairs sharing two or more edges are
+    # flagged for review
+    rule, amount = table.triangle_rule
     for f in graph.faces:
         if f.degree < 5:
             continue
@@ -133,42 +159,38 @@ def _face_to_triangle_rules(graph: PlaneGraph, ledger: ChargeLedger,
                 ledger.flags.append(
                     f"faces {f.id} and {g.id} share {len(shared)} edges; "
                     f"transferred once per pair, review manually")
-            ledger.transfers.append(
-                Transfer(face_key(f.id), face_key(g.id), Fraction(1, 3), rule, phase))
-
-
-def _face_to_vertex_rules(graph: PlaneGraph, cls: VertexClassification,
-                          ledger: ChargeLedger, schedule, phase: int) -> None:
-    # schedule: list of (predicate on face degree, rule name, good amount, bad amount);
+            out.append(Transfer(face_key(f.id), face_key(g.id), amount, rule, 1))
     # incidence counts distinct boundary vertices, not walk occurrences
     for f in graph.faces:
-        for pred, rule, good_amt, bad_amt in schedule:
-            if not pred(f.degree):
-                continue
-            for u in sorted(f.vertex_set):
-                if cls.is_good(u):
-                    ledger.transfers.append(
-                        Transfer(face_key(f.id), vertex_key(u), good_amt, rule, phase))
-                elif cls.is_bad(u):
-                    ledger.transfers.append(
-                        Transfer(face_key(f.id), vertex_key(u), bad_amt, rule, phase))
-            break
+        band = table.band(f.degree)
+        if band is None:
+            continue
+        for u in sorted(f.vertex_set):
+            if cls.is_good(u):
+                out.append(Transfer(face_key(f.id), vertex_key(u), band.good, band.rule, 1))
+            elif cls.is_bad(u):
+                out.append(Transfer(face_key(f.id), vertex_key(u), band.bad, band.rule, 1))
 
 
-def beta_values(graph: PlaneGraph, ledger: ChargeLedger) -> dict[int, Fraction]:
-    """Remaining charge of each 5-face after the phase-1 rules."""
+def _drain(graph: PlaneGraph, cls: VertexClassification, rule: str,
+           ledger: ChargeLedger) -> None:
+    # each special 3-vertex takes the remaining charge of its one 5-face,
+    # unless another special vertex claims the same face
     final = ledger.final()
-    return {f.id: final[face_key(f.id)] for f in graph.faces if f.degree == 5}
-
-
-def incident_five_face(graph: PlaneGraph, cls: VertexClassification, v: int) -> Face:
-    """The unique 5-face at the corners of a special 3-vertex."""
-    if not cls.is_special(v):
-        raise ValueError(f"vertex {v} is not special")
-    for fid in graph.incident_faces(v):
-        if graph.faces[fid].degree == 5:
-            return graph.faces[fid]
-    raise AssertionError("special vertex without a 5-face corner")
+    ledger.betas = {f.id: final[face_key(f.id)] for f in graph.faces if f.degree == 5}
+    claims: dict[int, list[int]] = {}
+    for v in sorted(cls.special):
+        fid = next(f for f in graph.incident_faces(v) if graph.faces[f].degree == 5)
+        claims.setdefault(fid, []).append(v)
+    for fid in sorted(claims):
+        claimants = claims[fid]
+        if len(claimants) > 1:
+            ledger.rule_violations.append(
+                f"{rule} precondition violated: 5-face {fid} claimed by special "
+                f"vertices {claimants}; no transfer applied")
+            continue
+        ledger.transfers.append(
+            Transfer(face_key(fid), vertex_key(claimants[0]), ledger.betas[fid], rule, 2))
 
 
 def run_rules(graph: PlaneGraph, ruleset: RuleSet) -> ChargeLedger:
@@ -178,44 +200,15 @@ def run_rules(graph: PlaneGraph, ruleset: RuleSet) -> ChargeLedger:
     running on a violating graph is how the contrapositive checks work.
     """
     cls = classify_vertices(graph)
+    table = RULES[ruleset]
     ledger = initial_charges(graph)
     ledger.ruleset = ruleset
-    half = Fraction(1, 2)
-    if ruleset is RuleSet.RS48:
-        _vertex_rules(graph, cls, ledger, "R1", 1)
-        _face_to_triangle_rules(graph, ledger, "R2", 1)
-        schedule = [
-            (lambda d: d == 5, "R3", Fraction(1, 6), Fraction(1, 12)),
-            (lambda d: d in (6, 7), "R4", half, Fraction(1, 4)),
-            (lambda d: d >= 8, "R5", Fraction(5, 6), Fraction(5, 12)),
-        ]
-        _face_to_vertex_rules(graph, cls, ledger, schedule, 1)
-        ledger.betas = beta_values(graph, ledger)
-        # phase 2: each special 3-vertex drains its 5-face's remaining charge
-        claims: dict[int, list[int]] = {}
-        for v in sorted(cls.special):
-            claims.setdefault(incident_five_face(graph, cls, v).id, []).append(v)
-        for fid in sorted(claims):
-            claimants = claims[fid]
-            if len(claimants) > 1:
-                ledger.rule_violations.append(
-                    f"R6 precondition violated: 5-face {fid} claimed by special "
-                    f"vertices {claimants}; no transfer applied")
-                continue
-            ledger.transfers.append(
-                Transfer(face_key(fid), vertex_key(claimants[0]),
-                         ledger.betas[fid], "R6", 2))
-    else:
-        _vertex_rules(graph, cls, ledger, "R.1", 1)
-        _face_to_triangle_rules(graph, ledger, "R.2", 1)
-        schedule = [
-            (lambda d: d == 5, "R.3", Fraction(1, 3), Fraction(1, 6)),
-            (lambda d: d >= 6, "R.4", half, Fraction(1, 4)),
-        ]
-        _face_to_vertex_rules(graph, cls, ledger, schedule, 1)
-    allowed = ruleset.allowed_amounts
+    _phase1(graph, cls, table, ledger)
+    if table.drain_rule is not None:
+        _drain(graph, cls, table.drain_rule, ledger)
+    allowed = table.amounts
     for t in ledger.transfers:
-        assert t.rule == "R6" or t.amount in allowed, \
+        assert t.rule == table.drain_rule or t.amount in allowed, \
             f"transfer amount {t.amount} not among the rule constants"
     return ledger
 
@@ -224,18 +217,7 @@ def beta(graph: PlaneGraph, face: Face) -> Fraction:
     """Phase-1 final charge of a 5-face under RS48."""
     if face.degree != 5:
         raise ValueError(f"beta is defined for 5-faces; face {face.id} has degree {face.degree}")
-    cls = classify_vertices(graph)
-    ledger = initial_charges(graph)
-    ledger.ruleset = RuleSet.RS48
-    _vertex_rules(graph, cls, ledger, "R1", 1)
-    _face_to_triangle_rules(graph, ledger, "R2", 1)
-    schedule = [
-        (lambda d: d == 5, "R3", Fraction(1, 6), Fraction(1, 12)),
-        (lambda d: d in (6, 7), "R4", Fraction(1, 2), Fraction(1, 4)),
-        (lambda d: d >= 8, "R5", Fraction(5, 6), Fraction(5, 12)),
-    ]
-    _face_to_vertex_rules(graph, cls, ledger, schedule, 1)
-    return beta_values(graph, ledger)[face.id]
+    return run_rules(graph, RuleSet.RS48).betas[face.id]
 
 
 @dataclass(frozen=True)
@@ -253,6 +235,7 @@ class AuditReport:
     euler_identity_ok: bool  # sum of initial charges == -8
     conservation_ok: bool  # rules only move charge
     negatives: tuple[NegativeElement, ...]
+    final: dict[str, Fraction]  # the ledger's final charges, replayed once
 
     @property
     def all_non_negative(self) -> bool:
@@ -297,4 +280,5 @@ def audit(ledger: ChargeLedger) -> AuditReport:
         euler_identity_ok=total0 == Fraction(-8),
         conservation_ok=total0 == total1,
         negatives=tuple(negatives),
+        final=final,
     )

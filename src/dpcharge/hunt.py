@@ -10,13 +10,12 @@ are listed separately: they decide nothing.
 Graphs that fail the profile's cycle conditions are skipped with a
 note, since the theorems say nothing about them.
 
-Set DPCHARGE_THREADS to evaluate (graph, seed) pairs concurrently;
-report assembly stays deterministic regardless.
+``threads`` > 1 evaluates (graph, seed) pairs on a thread pool; report
+assembly stays deterministic regardless.
 """
 
 from __future__ import annotations
 
-import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -26,14 +25,6 @@ from .reporting import TOOL_VERSION, input_hash
 from .rotfile import serialize_rotation_file
 from .solver import BAOutcome, SearchStatus, find_ba
 from .structure import Profile, check_profile
-
-
-def default_thread_count() -> int:
-    raw = os.environ.get("DPCHARGE_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
 
 
 @dataclass(frozen=True)
@@ -87,7 +78,7 @@ def replay_cover(cover_json: str, node_limit: int = 2_000_000) -> BAOutcome:
 
 def hunt(profile: Profile, k: int, seeds: range | list[int],
          graphs: list[tuple[str, PlaneGraph]], node_limit: int = 2_000_000,
-         threads: int | None = None, command: str | None = None) -> HuntReport:
+         threads: int = 1, command: str | None = None) -> HuntReport:
     seed_list = tuple(seeds)
     if command is None:
         names = " ".join(name for name, _ in graphs)
@@ -118,9 +109,8 @@ def hunt(profile: Profile, k: int, seeds: range | list[int],
         outcome = find_ba(cover, node_limit=node_limit)
         return name, seed, cover, outcome
 
-    n_threads = threads if threads is not None else default_thread_count()
-    if n_threads > 1:
-        with ThreadPoolExecutor(max_workers=n_threads) as pool:
+    if threads > 1:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
             results = list(pool.map(run, jobs))
     else:
         results = [run(job) for job in jobs]

@@ -143,19 +143,13 @@ _ITEMS_NO46: tuple[tuple[str, str, bool, Check], ...] = (
 
 def check_structural_lemmas(graph: PlaneGraph, profile: Profile) -> LemmaReport:
     hypothesis = check_profile(graph, profile)
-    cycle_notes = []
-    if hypothesis.four_cycle is not None:
-        cycle_notes.append(f"4-cycle present: {hypothesis.four_cycle}")
-    if hypothesis.other_cycle is not None:
-        cycle_notes.append(
-            f"{hypothesis.other_length}-cycle present: {hypothesis.other_cycle}")
-    degree_note = (f"minimum degree {hypothesis.min_degree} < 3 "
-                   f"(vertex {hypothesis.min_degree_witness})")
+    cycle_notes = hypothesis.cycle_notes
+    degree_note = hypothesis.degree_note
     items = _ITEMS_NO48 if profile is Profile.NO48 else _ITEMS_NO46
     results = []
     for item, statement, needs_d3, check in items:
         notes = list(cycle_notes)
-        if needs_d3 and hypothesis.min_degree < 3:
+        if needs_d3 and degree_note is not None:
             notes.append(degree_note)
         holds, witness = check(graph)
         results.append(LemmaItemResult(

@@ -102,6 +102,7 @@ class PlaneGraph:
         self._corner_faces = tuple(tuple(sorted(c)) for c in corner)
         self._adjacent: tuple[tuple[Face, ...], ...] | None = None  # built on first use
         self._hypotheses: dict = {}  # Profile -> HypothesisReport, see check_profile
+        self._classification = None  # VertexClassification, see classify_vertices
 
     # -- basic queries -------------------------------------------------
 

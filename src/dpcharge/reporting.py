@@ -32,7 +32,6 @@ def ledger_to_json(ledger, report=None) -> dict:
     """
     from .discharge import audit
 
-    final = ledger.final()
     if report is None:
         report = audit(ledger)
     return {
@@ -43,7 +42,7 @@ def ledger_to_json(ledger, report=None) -> dict:
              "rule": t.rule, "phase": t.phase}
             for t in ledger.transfers
         ],
-        "final": {k: frac_str(v) for k, v in sorted(final.items())},
+        "final": {k: frac_str(v) for k, v in sorted(report.final.items())},
         "beta": {f"f{fid}": frac_str(b) for fid, b in sorted(ledger.betas.items())},
         "flags": list(ledger.flags),
         "rule_violations": list(ledger.rule_violations),

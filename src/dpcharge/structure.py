@@ -32,7 +32,6 @@ class Profile(Enum):
 
 @dataclass(frozen=True)
 class VertexClassification:
-    degrees: tuple[int, ...]
     bad3: frozenset[int]
     good3: frozenset[int]
     special: frozenset[int]
@@ -48,6 +47,9 @@ class VertexClassification:
 
 
 def classify_vertices(graph: PlaneGraph) -> VertexClassification:
+    """The 3-vertex classes, computed once per graph and kept on it."""
+    if graph._classification is not None:
+        return graph._classification
     bad, good, special = set(), set(), set()
     for v in graph.vertices():
         if graph.degree(v) != 3:
@@ -61,8 +63,9 @@ def classify_vertices(graph: PlaneGraph) -> VertexClassification:
             degs = sorted(graph.faces[f].degree for f in corners)
             if degs == [3, 5, 6]:
                 special.add(v)
-    return VertexClassification(graph.degrees, frozenset(bad), frozenset(good),
-                                frozenset(special))
+    graph._classification = VertexClassification(
+        frozenset(bad), frozenset(good), frozenset(special))
+    return graph._classification
 
 
 @dataclass(frozen=True)
@@ -93,17 +96,26 @@ class HypothesisReport:
     def cycles_ok(self) -> bool:
         return self.four_cycle is None and self.other_cycle is None
 
-    def notes(self) -> list[str]:
+    @property
+    def degree_note(self) -> str | None:
+        if self.min_degree >= 3:
+            return None
+        return f"minimum degree {self.min_degree} < 3 (vertex {self.min_degree_witness})"
+
+    @property
+    def cycle_notes(self) -> list[str]:
         out = []
-        if not self.connected:
-            out.append("graph is disconnected")
-        if self.min_degree < 3:
-            out.append(f"minimum degree {self.min_degree} < 3 (vertex {self.min_degree_witness})")
         if self.four_cycle is not None:
             out.append(f"4-cycle present: {self.four_cycle}")
         if self.other_cycle is not None:
             out.append(f"{self.other_length}-cycle present: {self.other_cycle}")
         return out
+
+    def notes(self) -> list[str]:
+        out = [] if self.connected else ["graph is disconnected"]
+        if self.degree_note is not None:
+            out.append(self.degree_note)
+        return out + self.cycle_notes
 
 
 def check_profile(graph: PlaneGraph, profile: Profile) -> HypothesisReport:
@@ -153,6 +165,7 @@ def find_reducible(graph: PlaneGraph) -> list[ReducibleConfiguration]:
     (c) a 3-vertex with a degree-3 neighbor and a 5-neighbor that has
         no 4+-neighbor.
     """
+    bad3 = classify_vertices(graph).bad3
     out: list[ReducibleConfiguration] = []
     for v in graph.vertices():
         d = graph.degree(v)
@@ -160,18 +173,17 @@ def find_reducible(graph: PlaneGraph) -> list[ReducibleConfiguration]:
             out.append(ReducibleConfiguration(
                 "low-degree-vertex", (v,), f"vertex {v} has degree {d} <= 2"))
             continue
-        if d != 3:
+        if v not in bad3:
             continue
-        three_nbrs = [u for u in sorted(graph.neighbors(v)) if graph.degree(u) == 3]
-        if not three_nbrs:
-            continue
-        five_plus = [u for u in sorted(graph.neighbors(v)) if graph.degree(u) >= 5]
+        nbrs = sorted(graph.neighbors(v))
+        five_plus = [u for u in nbrs if graph.degree(u) >= 5]
         if len(five_plus) < 2:
+            three_nbr = next(u for u in nbrs if graph.degree(u) == 3)
             out.append(ReducibleConfiguration(
                 "bad3-without-two-5plus", (v,),
-                f"3-vertex {v} has 3-neighbor {three_nbrs[0]} but only "
+                f"3-vertex {v} has 3-neighbor {three_nbr} but only "
                 f"{len(five_plus)} neighbor(s) of degree >= 5"))
-        for x in sorted(graph.neighbors(v)):
+        for x in nbrs:
             if graph.degree(x) == 5 and not any(graph.degree(y) >= 4 for y in graph.neighbors(x)):
                 out.append(ReducibleConfiguration(
                     "5-neighbor-without-4plus", (v, x),

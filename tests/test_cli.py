@@ -174,3 +174,34 @@ def test_verify_missing_key_is_usage_error(tmp_path, capsys, missing):
     code = cli_dispatch(["verify", str(tmp_path / "solved.pg"), "--transversal", str(t_path)])
     assert code == 2
     assert f"no '{missing}'" in capsys.readouterr().err
+
+
+def _colour_nine_pair(cover):
+    pairs = cover["matchings"]["0-1"]
+    pairs[0] = [9, pairs[0][1]]
+
+
+def _one_colour_list(cover):
+    cover["lists"]["0"] = cover["lists"]["0"][:1]
+
+
+def _node_matched_twice(cover):
+    pairs = cover["matchings"]["0-1"]
+    pairs[1] = [pairs[0][0], pairs[1][1]]
+
+
+@pytest.mark.parametrize("edit,violation", [
+    (_colour_nine_pair, "color 9 not in list of 0"),
+    (_one_colour_list, "vertex 0: list size 1 < k=3"),
+    (_node_matched_twice, "matched twice"),
+], ids=["colour-9-pair", "one-colour-list", "node-matched-twice"])
+def test_verify_invalid_cover_is_usage_error(tmp_path, capsys, edit, violation):
+    t_path = _solved_transversal(tmp_path, "cycle:5")
+    doc = json.loads(t_path.read_text())
+    edit(doc["cover"])
+    t_path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    code = cli_dispatch(["verify", str(tmp_path / "solved.pg"), "--transversal", str(t_path)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "invalid cover" in err and violation in err

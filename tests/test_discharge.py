@@ -3,9 +3,10 @@ from fractions import Fraction
 import pytest
 
 from dpcharge.catalog import generate
-from dpcharge.discharge import (RuleSet, audit, beta, face_key, initial_charges,
+from dpcharge.discharge import (RULES, RuleSet, audit, beta, face_key, initial_charges,
                                 run_rules, vertex_key)
 from dpcharge.planegraph import build_plane_graph
+from dpcharge.structure import classify_vertices
 
 F = Fraction
 
@@ -66,6 +67,44 @@ def test_transfer_amounts_are_rule_constants(catalog):
             for t in ledger.transfers:
                 if t.rule != "R6":
                     assert t.amount in allowed
+
+
+@pytest.mark.parametrize("ruleset", list(RuleSet))
+def test_transfers_match_their_table_row(catalog, ruleset):
+    table = RULES[ruleset]
+    for name, g in catalog.items():
+        cls = classify_vertices(g)
+        for t in run_rules(g, ruleset).transfers:
+            source, target = int(t.source[1:]), int(t.target[1:])
+            if t.phase == 2:
+                assert t.rule == table.drain_rule and cls.is_special(target), (name, t)
+            elif t.source.startswith("v"):
+                assert (t.rule, t.amount) == table.vertex_rule, (name, t)
+                assert g.degree(source) >= 5 and cls.is_bad(target), (name, t)
+            elif t.target.startswith("f"):
+                assert (t.rule, t.amount) == table.triangle_rule, (name, t)
+                assert g.faces[source].degree >= 5 and g.faces[target].degree == 3
+            else:
+                band = table.band(g.faces[source].degree)
+                assert cls.is_good(target) or cls.is_bad(target), (name, t)
+                expected = band.good if cls.is_good(target) else band.bad
+                assert (t.rule, t.amount) == (band.rule, expected), (name, t)
+
+
+def test_rule_table_bands_ascend():
+    for table in RULES.values():
+        los = [b.lo for b in table.bands]
+        assert los == sorted(set(los))
+        assert table.band(4) is None and table.band(1000) is table.bands[-1]
+
+
+def test_beta_is_the_rs48_ledger_beta(catalog):
+    for name, g in catalog.items():
+        betas = run_rules(g, RuleSet.RS48).betas
+        fives = [f for f in g.faces if f.degree == 5]
+        assert sorted(betas) == [f.id for f in fives], name
+        for f in fives:
+            assert beta(g, f) == betas[f.id], name
 
 
 def test_beta_isolated_five_face():

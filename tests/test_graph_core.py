@@ -2,7 +2,9 @@
 
 Face adjacency comes from dart reversal, the hypothesis witnesses from
 an early-exit cycle search, and the audit looks reducible configurations
-up by vertex; each is checked here against a plain rescan.
+up by vertex; each is checked here against a plain rescan.  The
+hypothesis report and the vertex classification are computed once per
+graph.
 """
 
 import pytest
@@ -10,7 +12,7 @@ import pytest
 from dpcharge.catalog import DEFAULT_CATALOG, generate
 from dpcharge.cycles import cycles_of_length, find_cycle
 from dpcharge.discharge import RuleSet, audit, run_rules
-from dpcharge.structure import Profile, check_profile, find_reducible
+from dpcharge.structure import Profile, check_profile, classify_vertices, find_reducible
 
 GRAPHS = DEFAULT_CATALOG + (
     "cycle:3", "cycle:4", "cycle:6", "cycle:8", "cycle:12",
@@ -47,6 +49,14 @@ def test_check_profile_computed_once(graph, profile):
     assert first.other_cycle == (other.cycles[0] if other else None)
 
 
+def test_classify_vertices_computed_once(graph):
+    first = classify_vertices(graph)
+    assert classify_vertices(graph) is first
+    threes = {v for v in graph.vertices() if graph.degree(v) == 3}
+    bad = {v for v in threes if any(graph.degree(u) == 3 for u in graph.neighbors(v))}
+    assert (first.bad3, first.good3) == (bad, threes - bad)
+
+
 @pytest.mark.parametrize("rules", list(RuleSet))
 def test_audit_negatives_match_rescan(graph, rules):
     if not graph.is_connected:
@@ -54,6 +64,7 @@ def test_audit_negatives_match_rescan(graph, rules):
     ledger = run_rules(graph, rules)
     report = audit(ledger)
     final = ledger.final()
+    assert report.final == final
     assert {n.key for n in report.negatives} == {k for k, x in final.items() if x < 0}
     reducible = find_reducible(graph)
     for n in report.negatives:
