@@ -291,12 +291,12 @@ def _cmd_verify(args) -> int:
         raise CliError(f"cannot read transversal: {exc}")
     if not isinstance(doc, dict):
         raise CliError("transversal file is not a JSON object")
-    for key in ("cover", "assignment"):
+    for key in ("cover", "assignment", "graph_hash"):
         if key not in doc:
             raise CliError(f"transversal file has no {key!r} entry")
-    recorded = doc.get("graph_hash")
+    recorded = doc["graph_hash"]
     actual = input_hash(serialize_rotation_file(g, name))
-    if recorded is not None and recorded != actual:
+    if recorded != actual:
         raise CliError(f"transversal was recorded for graph hash {recorded}, "
                        f"but {args.file} hashes to {actual}")
     try:

@@ -11,12 +11,20 @@ to at most one node placed before the current one.
 Each node's B_A condition reads only its own prefix, so a placement
 prefix that was valid never becomes invalid later; the searches below
 exploit this by building the order as the assignment order.
+
+Both searches run on an explicit stack, so their depth (the vertex
+count) is not bounded by the interpreter's recursion limit.  The B_A
+search keeps each unplaced vertex's feasible colors and, after a
+placement, re-checks only the vertices within distance 2 of the placed
+one, restoring the changed lists from an undo log on backtrack; a search
+that never backtracks therefore costs near-linear time in the graph size.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from heapq import heappop, heappush
 from typing import Mapping
 
 from .cover import Cover, Node
@@ -101,27 +109,34 @@ def find_defective_dp(cover: Cover, d: DefectVector, node_limit: int = 2_000_000
 
     Vertices are assigned highest-degree-first (ties by id); a branch is
     pruned as soon as any committed node exceeds its budget, which is
-    sound because induced degrees only grow along a branch.
+    sound because induced degrees only grow along a branch.  The depth
+    is an index into that fixed order, with the next color to try kept
+    per depth, so the search needs no recursion.
     """
     graph = cover.graph
     if len(d) != cover.k:
         raise ValueError(f"defect vector length {len(d)} != k={cover.k}")
+    n = graph.vertex_count
     order = sorted(graph.vertices(), key=lambda v: (-graph.degree(v), v))
-    position = {v: i for i, v in enumerate(order)}
-    chosen: dict[int, int] = {}
-    deg: dict[int, int] = {}
-    expanded = 0
+    # budgets by color, read for placed nodes, whose colors passed d.budget
+    caps = {c: d.budget(c) for c in range(1, len(d) + 1)}
+    # each vertex's neighbors, with the matching read from its side
+    links = [[(u, frozenset(cover.matching(v, u))) for u in graph.neighbors(v)]
+             for v in graph.vertices()]
+    chosen: list[int | None] = [None] * n
+    deg = [0] * n
 
     def place(v: int, c: int) -> list[int] | None:
         """Commit (v, c); return the bumped vertices or None on violation."""
         bumped = []
         dv = 0
-        for u in graph.neighbors(v):
-            if u in chosen and (c, chosen[u]) in cover.matching(v, u):
+        for u, pairs in links[v]:
+            cu = chosen[u]
+            if cu is not None and (c, cu) in pairs:
                 dv += 1
                 deg[u] += 1
                 bumped.append(u)
-                if deg[u] > d.budget(chosen[u]):
+                if deg[u] > caps[cu]:
                     for w in bumped:
                         deg[w] -= 1
                     return None
@@ -133,30 +148,38 @@ def find_defective_dp(cover: Cover, d: DefectVector, node_limit: int = 2_000_000
         deg[v] = dv
         return bumped
 
-    def search(i: int) -> SearchStatus:
-        nonlocal expanded
-        if i == len(order):
-            return SearchStatus.FOUND
-        v = order[i]
-        for c in cover.lists[v]:
+    depth = 0  # order[:depth] is colored
+    tried = [0] * (n + 1)  # colors tried so far at each depth
+    bumped_at: list[list[int]] = [[] for _ in range(n)]
+    expanded = 0
+    status = SearchStatus.FOUND
+    while depth < n:
+        v = order[depth]
+        colors = cover.lists[v]
+        if tried[depth] < len(colors):
+            c = colors[tried[depth]]
+            tried[depth] += 1
             expanded += 1
             if expanded > node_limit:
-                return SearchStatus.EXHAUSTED
+                status = SearchStatus.EXHAUSTED
+                break
             bumped = place(v, c)
-            if bumped is None:
-                continue
-            sub = search(i + 1)
-            if sub is not SearchStatus.NONE:
-                return sub
-            del chosen[v]
-            del deg[v]
-            for w in bumped:
-                deg[w] -= 1
-        return SearchStatus.NONE
+            if bumped is not None:
+                bumped_at[depth] = bumped
+                depth += 1
+                tried[depth] = 0
+            continue
+        if depth == 0:
+            status = SearchStatus.NONE
+            break
+        depth -= 1
+        u = order[depth]
+        chosen[u] = None
+        for w in bumped_at[depth]:
+            deg[w] -= 1
 
-    status = search(0)
     if status is SearchStatus.FOUND:
-        result = dict(chosen)
+        result = {v: chosen[v] for v in order}
         report = verify_defective(cover, result, d)
         assert report.passed, "solver soundness: found transversal failed verification"
         return DefectOutcome(status, result, expanded)
@@ -245,87 +268,179 @@ def find_ba(cover: Cover, node_limit: int = 2_000_000) -> BAOutcome:
     first.  Dead prefixes are memoized by their placed node set when the
     graph has at most 20 vertices: feasibility of any extension depends
     only on that set, not on the order that reached it.
+
+    Feasible colors are kept per vertex and updated incrementally.  A
+    node's feasibility reads its placed neighbors and their placed
+    degrees, so placing (v, c) can only change it for vertices within
+    distance 2 of v: the unplaced neighbors of v, and the unplaced
+    neighbors of a placed neighbor whose placed degree reaches 2.  Only
+    those are re-checked, and an undo log restores their lists on
+    backtrack.  Vertices are bucketed by list length, so a dead vertex
+    (empty list) is seen in O(1) and the first candidate is the lowest
+    id of the lowest non-empty bucket; the full candidate order is built
+    only when that candidate's colors all fail.  An explicit stack
+    replaces recursion, so the depth is not bounded by the interpreter.
     """
     graph = cover.graph
     n = graph.vertex_count
     memo_on = n <= 20
-    nbrs: dict[Node, tuple[Node, ...]] = {}
-    for node in cover.nodes():
-        nbrs[node] = tuple(cover.neighbors_in_cover(node))
+    # Cover nodes are numbered consecutively; own[v] holds the ids of
+    # vertex v's colors, in list order.
+    vert: list[int] = []
+    color: list[int] = []
+    own: list[range] = []
+    ids: dict[Node, int] = {}
+    for v in graph.vertices():
+        start = len(vert)
+        for c in cover.lists[v]:
+            ids[(v, c)] = len(vert)
+            vert.append(v)
+            color.append(c)
+        own.append(range(start, len(vert)))
+    # neighbors in the order neighbors_in_cover gives: by vertex, then by
+    # position in the matching
+    adj: list[list[int]] = [[] for _ in vert]
+    for (u, v), pairs in sorted(cover.matchings.items()):
+        if u < v and graph.has_edge(u, v):
+            for a, b in pairs:
+                p, q = ids.get((u, a)), ids.get((v, b))
+                if p is not None and q is not None:
+                    adj[p].append(q)
+                    adj[q].append(p)
 
-    chosen: dict[int, int] = {}
-    placed_deg: dict[Node, int] = {}  # neighbors of node already placed
-    order: list[Node] = []
-    failed: set[frozenset[Node]] = set()
+    at = [-1] * n  # placed node of each vertex, -1 while unplaced
+    cnt = [0] * len(vert)  # placed neighbors of each node
+    lsum = [0] * len(vert)  # sum of their ids: the neighbor itself when cnt is 1
+    cols = [list(r) for r in own]  # feasible nodes of each unplaced vertex
+    top = max((len(r) for r in own), default=0)
+    # buckets by list length, as heaps of vertex ids; an entry is live while
+    # its vertex is unplaced with a list of that length, and stale entries
+    # are dropped when they reach the top
+    heaps: list[list[int]] = [[] for _ in range(top + 1)]
+    for v in graph.vertices():
+        heaps[len(cols[v])].append(v)
+    zero = len(heaps[0])  # unplaced vertices without a feasible color
+    order: list[int] = []
+    logs: list[list[tuple[int, list[int]]]] = []  # per placement: (vertex, old list)
+    failed: set[frozenset[int]] = set()
     expanded = 0
 
-    def feasible_colors(v: int) -> list[int]:
-        out = []
-        for c in cover.lists[v]:
-            lefts = [w for w in nbrs[(v, c)] if w[0] in chosen and chosen[w[0]] == w[1]]
-            if c == 1:
-                if not lefts:
-                    out.append(c)
-            elif len(lefts) == 0 or (len(lefts) == 1 and placed_deg[lefts[0]] <= 1):
-                out.append(c)
-        return out
+    def first_candidate() -> int:
+        for size in range(1, top + 1):
+            h = heaps[size]
+            while h:
+                u = h[0]
+                if at[u] < 0 and len(cols[u]) == size:
+                    return u
+                heappop(h)
+        raise AssertionError("no unplaced vertex with a feasible color")
 
-    def place(v: int, c: int) -> None:
-        chosen[v] = c
-        node = (v, c)
-        d = 0
-        for w in nbrs[node]:
-            if w[0] in chosen and chosen[w[0]] == w[1]:
-                placed_deg[w] += 1
-                d += 1
-        placed_deg[node] = d
-        order.append(node)
+    def later_candidates() -> list[int]:
+        rest = [u for u in graph.vertices() if at[u] < 0]
+        rest.sort(key=lambda u: len(cols[u]))  # stable: ties stay by id
+        return rest[1:]
 
-    def unplace(v: int) -> None:
-        node = order.pop()
-        del placed_deg[node]
-        del chosen[v]
-        for w in nbrs[node]:
-            if w[0] in chosen and chosen[w[0]] == w[1]:
-                placed_deg[w] -= 1
-
-    def search() -> SearchStatus:
-        nonlocal expanded
-        if len(chosen) == n:
-            return SearchStatus.FOUND
-        if memo_on:
-            key = frozenset(order)
-            if key in failed:
-                return SearchStatus.NONE
-        candidates = []
-        for v in graph.vertices():
-            if v in chosen:
-                continue
-            cols = feasible_colors(v)
-            if not cols:
+    # The open search nodes on the current path, one per placement: the
+    # feasible nodes of the candidate being tried, the index of the next
+    # one, the candidates after the first (None until needed), the index
+    # of the next one, and the memo key.  The top node lives in the
+    # locals below; the others are on the stack.
+    stack: list[tuple] = []
+    nodes: list[int] = []
+    j = 0
+    rest: list[int] | None = None
+    pos = 0
+    key: frozenset[int] | None = None
+    entering = True  # a placement was just made, or the search starts
+    while True:
+        if entering:
+            entering = False
+            if len(order) == n:
+                status = SearchStatus.FOUND
+                break
+            child_key = frozenset(order) if memo_on else None
+            dead = memo_on and child_key in failed
+            if not dead and zero:
                 # monotone: a vertex with no feasible color never recovers
+                dead = True
                 if memo_on:
-                    failed.add(frozenset(order))
-                return SearchStatus.NONE
-            candidates.append((len(cols), v, cols))
-        candidates.sort()
-        for _, v, cols in candidates:
-            for c in cols:
-                expanded += 1
-                if expanded > node_limit:
-                    return SearchStatus.EXHAUSTED
-                place(v, c)
-                sub = search()
-                if sub is not SearchStatus.NONE:
-                    return sub
-                unplace(v)
-        if memo_on:
-            failed.add(frozenset(order))
-        return SearchStatus.NONE
+                    failed.add(child_key)
+            if not dead:
+                if order:
+                    stack.append((nodes, j, rest, pos, key))
+                nodes, j, rest, pos, key = cols[first_candidate()], 0, None, 0, child_key
+                continue
+            if not order:
+                status = SearchStatus.NONE
+                break
+        elif j < len(nodes):
+            p = nodes[j]
+            j += 1
+            expanded += 1
+            if expanded > node_limit:
+                status = SearchStatus.EXHAUSTED
+                break
+            # place p, then re-check the vertices whose lists it can change
+            at[vert[p]] = p
+            order.append(p)
+            touched = []
+            for q in adj[p]:
+                cnt[q] += 1
+                lsum[q] += p
+                u = vert[q]
+                if at[u] < 0:
+                    touched.append(u)
+                elif at[u] == q and cnt[q] == 2:
+                    # q stops being a usable unique left neighbor
+                    touched.extend(vert[y] for y in adj[q]
+                                   if cnt[y] == 1 and at[vert[y]] < 0)
+            log = []
+            for u in touched:
+                old = cols[u]
+                new = [x for x in own[u]
+                       if cnt[x] == 0
+                       or (cnt[x] == 1 and color[x] != 1 and cnt[lsum[x]] <= 1)]
+                if len(new) != len(old):  # lists only shrink as nodes are placed
+                    log.append((u, old))
+                    cols[u] = new
+                    if new:
+                        heappush(heaps[len(new)], u)
+                    else:
+                        zero += 1
+            logs.append(log)
+            entering = True
+            continue
+        else:
+            if rest is None:
+                rest = later_candidates()
+            if pos < len(rest):
+                nodes, j = cols[rest[pos]], 0
+                pos += 1
+                continue
+            # every candidate failed
+            if memo_on:
+                failed.add(key)
+            if not stack:
+                status = SearchStatus.NONE
+                break
+            nodes, j, rest, pos, key = stack.pop()
+        # undo the last placement
+        for u, old in reversed(logs.pop()):
+            if not cols[u]:
+                zero -= 1
+            cols[u] = old
+            heappush(heaps[len(old)], u)
+        p = order.pop()
+        v = vert[p]
+        at[v] = -1
+        for q in adj[p]:
+            cnt[q] -= 1
+            lsum[q] -= p
+        heappush(heaps[len(cols[v])], v)
 
-    status = search()
     if status is SearchStatus.FOUND:
-        ot = OrderedTransversal(dict(chosen), tuple(order))
+        ot = OrderedTransversal({vert[p]: color[p] for p in order},
+                                tuple((vert[p], color[p]) for p in order))
         report = verify_ba(cover, ot)
         assert report.passed, "solver soundness: found ordering failed verification"
         return BAOutcome(status, ot, expanded)

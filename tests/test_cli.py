@@ -4,6 +4,7 @@ import pytest
 
 from dpcharge.cli import cli_dispatch
 from dpcharge.cover import cover_to_json
+from dpcharge.reporting import input_hash
 from dpcharge.rotfile import serialize_rotation_file
 
 from test_solver import paper_cover
@@ -100,6 +101,7 @@ def test_verify_paper_cover_rejects(tmp_path, capsys):
     g_path.write_text(serialize_rotation_file(cover.graph, "p3"))
     t_path = tmp_path / "t.json"
     doc = {
+        "graph_hash": input_hash(g_path.read_text()),
         "mode": "ba",
         "k": 1,
         "assignment": {"0": 1, "1": 2, "2": 1},
@@ -164,7 +166,7 @@ def test_verify_against_other_graph_is_usage_error(tmp_path, capsys):
     assert "graph hash" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("missing", ["cover", "assignment"])
+@pytest.mark.parametrize("missing", ["cover", "assignment", "graph_hash"])
 def test_verify_missing_key_is_usage_error(tmp_path, capsys, missing):
     t_path = _solved_transversal(tmp_path, "cycle:5")
     doc = json.loads(t_path.read_text())
@@ -205,3 +207,37 @@ def test_verify_invalid_cover_is_usage_error(tmp_path, capsys, edit, violation):
     assert code == 2
     err = capsys.readouterr().err
     assert "invalid cover" in err and violation in err
+
+
+# Graphs past the interpreter's default recursion depth (about 1000 frames):
+# both searches must run on an explicit stack.
+
+
+@pytest.fixture(scope="module")
+def long_cycle(tmp_path_factory):
+    path = tmp_path_factory.mktemp("long") / "c1500.pg"
+    assert cli_dispatch(["gen", "cycle:1500", "-o", str(path)]) == 0
+    return path
+
+
+def test_solve_ba_long_cycle(long_cycle, tmp_path):
+    t_path = tmp_path / "t.json"
+    assert cli_dispatch(["solve", str(long_cycle), "--mode", "ba", "--k", "3",
+                         "--cover", "random", "--seed", "1", "--full",
+                         "--json", str(t_path)]) == 0
+    assert cli_dispatch(["verify", str(long_cycle), "--transversal", str(t_path),
+                         "--order"]) == 0
+
+
+def test_solve_defect_long_cycle(long_cycle, tmp_path):
+    t_path = tmp_path / "t.json"
+    assert cli_dispatch(["solve", str(long_cycle), "--mode", "defect", "--defects", "0,2,2",
+                         "--k", "3", "--cover", "random", "--seed", "1", "--full",
+                         "--json", str(t_path)]) == 0
+    assert cli_dispatch(["verify", str(long_cycle), "--transversal", str(t_path)]) == 0
+
+
+def test_hunt_long_cycle(long_cycle, capsys):
+    assert cli_dispatch(["hunt", str(long_cycle), "--profile", "no48",
+                         "--seeds", "0..1"]) == 0
+    assert "found: 2;" in capsys.readouterr().out
