@@ -226,8 +226,11 @@ def _make_cover(args, g: PlaneGraph) -> Cover:
         return random_cover(g, args.k, args.seed, args.full)
     if not args.cover_json:
         raise CliError("--cover json requires --cover-json PATH")
-    with open(args.cover_json, "r", encoding="utf-8") as fh:
-        return cover_from_json(fh.read(), graph=g)
+    try:
+        with open(args.cover_json, "r", encoding="utf-8") as fh:
+            return cover_from_json(fh.read(), graph=g)
+    except OSError as exc:
+        raise CliError(f"cannot read cover: {exc}")
 
 
 def _cmd_solve(args) -> int:

@@ -4,14 +4,18 @@ A cover node is a pair (vertex, color).  For each edge uv of the base
 graph the cover holds a matching between the color lists of u and v;
 the cover's edge set is the disjoint union of those matchings.  A
 matching may be partial or empty; worst-case hunting uses perfect
-matchings (full=True).
+matchings (full=True).  Matchings are keyed (u, v) with u < v, and
+Cover.node_graph, the cover graph on integer node ids, is built once
+per cover.
 """
 
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass
-from itertools import combinations, permutations
+from functools import cached_property
+from itertools import chain, combinations, permutations
 from math import comb, factorial
 from random import Random
 from typing import Iterator, Mapping, Sequence
@@ -20,6 +24,7 @@ from .planegraph import PlaneGraph
 
 Node = tuple[int, int]
 Pair = tuple[int, int]  # (color at u, color at v) for an edge (u, v) with u < v
+_KEY = re.compile(r"(0|[1-9][0-9]*)-(0|[1-9][0-9]*)")  # one spelling per vertex pair
 
 
 @dataclass(frozen=True)
@@ -30,33 +35,35 @@ class Cover:
     matchings: Mapping[tuple[int, int], tuple[Pair, ...]]  # key (u, v), u < v
     provenance: tuple[tuple[str, object], ...] = ()
 
-    def nodes(self) -> Iterator[Node]:
-        for v in self.graph.vertices():
-            for c in self.lists[v]:
-                yield (v, c)
-
-    def matching(self, u: int, v: int) -> tuple[Pair, ...]:
-        if u > v:
-            return tuple((cv, cu) for cu, cv in self.matchings.get((v, u), ()))
-        return self.matchings.get((u, v), ())
-
     def edge_total(self) -> int:
         return sum(len(m) for m in self.matchings.values())
 
-    def adjacent(self, a: Node, b: Node) -> bool:
-        (u, cu), (v, cv) = a, b
-        if u == v:
-            return False
-        return (cu, cv) in self.matching(u, v)
+    @cached_property
+    def node_graph(self) -> tuple:
+        """(vert, color, own, ids, adj), built on first use.  Node i is
+        (vert[i], color[i]), numbered vertex by vertex in list order; own[v]
+        holds v's ids, ids inverts the numbering, and adj[i] lists i's
+        neighbors by base vertex, then by position in the matching.  Only
+        keys (u, v) with u < v on a base edge, between listed colors, count."""
+        vert, color, own = [], [], []
+        for v in self.graph.vertices():
+            own.append(range(len(vert), len(vert) + len(self.lists[v])))
+            vert.extend([v] * len(self.lists[v]))
+            color.extend(self.lists[v])
+        ids = {x: i for i, x in enumerate(zip(vert, color))}
+        adj: list[list[int]] = [[] for _ in vert]
+        for (u, v), pairs in sorted(self.matchings.items()):
+            if u < v and self.graph.has_edge(u, v):
+                for a, b in pairs:
+                    p, q = ids.get((u, a)), ids.get((v, b))
+                    if p is not None and q is not None:
+                        adj[p].append(q)
+                        adj[q].append(p)
+        return tuple(vert), tuple(color), tuple(own), ids, tuple(map(tuple, adj))
 
     def neighbors_in_cover(self, node: Node) -> list[Node]:
-        u, cu = node
-        out = []
-        for v in sorted(self.graph.neighbors(u)):
-            for a, b in self.matching(u, v):
-                if a == cu:
-                    out.append((v, b))
-        return out
+        vert, color, _, ids, adj = self.node_graph
+        return [(vert[q], color[q]) for q in adj[ids[node]]]
 
 
 def identity_cover(graph: PlaneGraph, k: int) -> Cover:
@@ -171,11 +178,14 @@ class CoverValidation:
 
 
 def validate_cover(cover: Cover) -> CoverValidation:
-    """Check the two cover conditions; violations name the offending edge."""
+    """Check the cover conditions and u < v on each key; violations name the edge."""
     problems: list[str] = []
     for (u, v), pairs in sorted(cover.matchings.items()):
+        if u > v:
+            problems.append(f"edge {u}-{v}: key not canonical, expected {v}-{u}")
         if not cover.graph.has_edge(u, v):
             problems.append(f"edge {u}-{v}: cover edges between non-adjacent vertices")
+            continue
         left_seen, right_seen = set(), set()
         for cu, cv in pairs:
             if cu not in cover.lists[u]:
@@ -218,17 +228,27 @@ def cover_to_json(cover: Cover, include_graph: bool = True) -> str:
 
 
 def cover_from_json(text: str, graph: PlaneGraph | None = None) -> Cover:
+    """Parse a cover document; a malformed one raises ValueError."""
     from .rotfile import parse_rotation_file
 
     doc = json.loads(text)
+    if not (isinstance(doc, dict) and {"k", "lists", "matchings"} <= doc.keys()):
+        raise ValueError("cover JSON must be an object with k, lists and matchings")
     if graph is None:
-        if "graph" not in doc:
+        if not isinstance(doc.get("graph"), str):
             raise ValueError("cover JSON has no embedded graph and none was supplied")
         graph, _ = parse_rotation_file(doc["graph"])
-    lists = tuple(tuple(doc["lists"][str(v)]) for v in graph.vertices())
-    matchings: dict[tuple[int, int], tuple[Pair, ...]] = {}
-    for key, pairs in doc["matchings"].items():
-        u, v = (int(x) for x in key.split("-"))
-        matchings[(u, v)] = tuple((int(a), int(b)) for a, b in pairs)
-    prov = tuple(sorted(doc.get("provenance", {}).items()))
-    return Cover(graph, int(doc["k"]), lists, matchings, prov)
+    try:
+        lists = tuple(tuple(doc["lists"][str(v)]) for v in graph.vertices())
+        matchings = {}
+        for key, pairs in doc["matchings"].items():
+            if (m := _KEY.fullmatch(key)) is None:
+                raise ValueError(f"matching key {key!r} is not 'u-v'")
+            matchings[(int(m[1]), int(m[2]))] = tuple((a, b) for a, b in pairs)
+        prov = tuple(sorted(doc.get("provenance", {}).items()))
+    except (KeyError, TypeError, AttributeError, ValueError) as exc:
+        raise ValueError(f"cover JSON: malformed lists, matchings or provenance: {exc!r}")
+    numbers = chain([doc["k"]], *lists, *chain.from_iterable(matchings.values()))
+    if not set(map(type, numbers)) <= {int}:  # bool is an int subclass, not a JSON number
+        raise ValueError("cover JSON: k and every color must be integers")
+    return Cover(graph, doc["k"], lists, matchings, prov)

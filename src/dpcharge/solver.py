@@ -120,23 +120,22 @@ def find_defective_dp(cover: Cover, d: DefectVector, node_limit: int = 2_000_000
     order = sorted(graph.vertices(), key=lambda v: (-graph.degree(v), v))
     # budgets by color, read for placed nodes, whose colors passed d.budget
     caps = {c: d.budget(c) for c in range(1, len(d) + 1)}
-    # each vertex's neighbors, with the matching read from its side
-    links = [[(u, frozenset(cover.matching(v, u))) for u in graph.neighbors(v)]
-             for v in graph.vertices()]
-    chosen: list[int | None] = [None] * n
+    vert, color, _, ids, adj = cover.node_graph
+    at = [-1] * n  # placed node of each vertex, -1 while unplaced
     deg = [0] * n
 
     def place(v: int, c: int) -> list[int] | None:
         """Commit (v, c); return the bumped vertices or None on violation."""
+        p = ids[(v, c)]
         bumped = []
         dv = 0
-        for u, pairs in links[v]:
-            cu = chosen[u]
-            if cu is not None and (c, cu) in pairs:
+        for q in adj[p]:
+            u = vert[q]
+            if at[u] == q:
                 dv += 1
                 deg[u] += 1
                 bumped.append(u)
-                if deg[u] > caps[cu]:
+                if deg[u] > caps[color[q]]:
                     for w in bumped:
                         deg[w] -= 1
                     return None
@@ -144,7 +143,7 @@ def find_defective_dp(cover: Cover, d: DefectVector, node_limit: int = 2_000_000
             for w in bumped:
                 deg[w] -= 1
             return None
-        chosen[v] = c
+        at[v] = p
         deg[v] = dv
         return bumped
 
@@ -173,13 +172,12 @@ def find_defective_dp(cover: Cover, d: DefectVector, node_limit: int = 2_000_000
             status = SearchStatus.NONE
             break
         depth -= 1
-        u = order[depth]
-        chosen[u] = None
+        at[order[depth]] = -1
         for w in bumped_at[depth]:
             deg[w] -= 1
 
     if status is SearchStatus.FOUND:
-        result = {v: chosen[v] for v in order}
+        result = {v: color[at[v]] for v in order}
         report = verify_defective(cover, result, d)
         assert report.passed, "solver soundness: found transversal failed verification"
         return DefectOutcome(status, result, expanded)
@@ -258,8 +256,8 @@ class BAOutcome:
 
 
 def find_ba(cover: Cover, node_limit: int = 2_000_000) -> BAOutcome:
-    """Depth-first search for a B_A coloring; placement order is the
-    left-to-right order.
+    """Depth-first search for a B_A coloring over the node ids of
+    cover.node_graph; placement order is the left-to-right order.
 
     At each step every uncolored vertex is a candidate, tried in order
     of fewest feasible colors (ties by id); restricting to a single
@@ -284,30 +282,7 @@ def find_ba(cover: Cover, node_limit: int = 2_000_000) -> BAOutcome:
     graph = cover.graph
     n = graph.vertex_count
     memo_on = n <= 20
-    # Cover nodes are numbered consecutively; own[v] holds the ids of
-    # vertex v's colors, in list order.
-    vert: list[int] = []
-    color: list[int] = []
-    own: list[range] = []
-    ids: dict[Node, int] = {}
-    for v in graph.vertices():
-        start = len(vert)
-        for c in cover.lists[v]:
-            ids[(v, c)] = len(vert)
-            vert.append(v)
-            color.append(c)
-        own.append(range(start, len(vert)))
-    # neighbors in the order neighbors_in_cover gives: by vertex, then by
-    # position in the matching
-    adj: list[list[int]] = [[] for _ in vert]
-    for (u, v), pairs in sorted(cover.matchings.items()):
-        if u < v and graph.has_edge(u, v):
-            for a, b in pairs:
-                p, q = ids.get((u, a)), ids.get((v, b))
-                if p is not None and q is not None:
-                    adj[p].append(q)
-                    adj[q].append(p)
-
+    vert, color, own, _, adj = cover.node_graph
     at = [-1] * n  # placed node of each vertex, -1 while unplaced
     cnt = [0] * len(vert)  # placed neighbors of each node
     lsum = [0] * len(vert)  # sum of their ids: the neighbor itself when cnt is 1

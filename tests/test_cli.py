@@ -241,3 +241,70 @@ def test_hunt_long_cycle(long_cycle, capsys):
     assert cli_dispatch(["hunt", str(long_cycle), "--profile", "no48",
                          "--seeds", "0..1"]) == 0
     assert "found: 2;" in capsys.readouterr().out
+
+
+# A malformed or non-canonical cover is an input error: exit 2, a message,
+# no traceback.  Each case edits the cover of a solved triangle transversal
+# and hands it to solve (as --cover-json) or to verify (inside the file).
+
+
+def _with(d, key, value):
+    return {**d, key: value}
+
+
+def _without(d, key):
+    return {k: v for k, v in d.items() if k != key}
+
+
+def _matching(d, key, pairs):
+    return {**d, "matchings": {**d["matchings"], key: pairs}}
+
+
+def _reversed_key(d):
+    m = dict(d["matchings"])
+    m["1-0"] = m.pop("0-1")
+    return {**d, "matchings": m}
+
+
+@pytest.mark.parametrize("command,edit,message", [
+    ("solve", None, "cannot read cover"),
+    ("solve", "{", "Expecting property name"),
+    ("solve", lambda d: [d], "must be an object"),
+    ("solve", lambda d: _without(d, "k"), "must be an object with k, lists and matchings"),
+    ("solve", lambda d: _without(d, "lists"), "must be an object with k, lists"),
+    ("solve", lambda d: _without(d, "matchings"), "must be an object with k, lists"),
+    ("solve", lambda d: _with(d, "lists", [[1, 2, 3]] * 3), "malformed lists"),
+    ("solve", lambda d: _matching(d, "0-x", []), "not 'u-v'"),
+    ("solve", lambda d: _matching(d, "0-1", 5), "not iterable"),
+    ("solve", lambda d: _matching(d, "0-1", [[1]]), "not enough values to unpack"),
+    ("solve", lambda d: _matching(d, "0-1", [[1, 1.5]]), "every color must be integers"),
+    ("solve", _reversed_key, "key not canonical"),
+    ("solve", lambda d: _matching(d, "1-0", [[2, 1]]), "key not canonical"),
+    ("verify", lambda d: _with(d, "lists", {**d["lists"], "0": [1, 2, "x"]}),
+     "every color must be integers"),
+    ("verify", lambda d: _with(d, "k", "3"), "k and every color must be integers"),
+    ("verify", _reversed_key, "key not canonical"),
+], ids=["missing-file", "not-json", "not-an-object", "no-k", "no-lists", "no-matchings",
+        "lists-not-an-object", "key-not-int-int", "matching-not-a-list", "pair-of-one",
+        "float-colour", "solve-reversed-key", "solve-key-and-reversed-key",
+        "verify-string-colour", "verify-string-k", "verify-reversed-key"])
+def test_malformed_cover_is_usage_error(tmp_path, capsys, command, edit, message):
+    g_path, t_path = tmp_path / "k3.pg", tmp_path / "t.json"
+    assert cli_dispatch(["gen", "triangle", "-o", str(g_path)]) == 0
+    assert cli_dispatch(["solve", str(g_path), "--mode", "ba", "--cover", "identity",
+                         "--json", str(t_path)]) == 0
+    doc = json.loads(t_path.read_text())
+    if command == "verify":
+        doc["cover"] = edit(doc["cover"])
+        t_path.write_text(json.dumps(doc))
+        argv = ["verify", str(g_path), "--transversal", str(t_path)]
+    else:
+        c_path = tmp_path / "cover.json"
+        if edit is not None:
+            c_path.write_text(edit if isinstance(edit, str) else json.dumps(edit(doc["cover"])))
+        argv = ["solve", str(g_path), "--mode", "defect", "--defects", "0,0,0",
+                "--cover", "json", "--cover-json", str(c_path)]
+    capsys.readouterr()
+    assert cli_dispatch(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err and "Traceback" not in err

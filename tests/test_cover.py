@@ -1,12 +1,18 @@
+import json
+from random import Random
+
 import pytest
 
+from dpcharge.catalog import DEFAULT_CATALOG, generate
 from dpcharge.cover import (Cover, count_matchings, cover_from_json,
                             cover_to_json, enumerate_covers, identity_cover,
                             random_cover, validate_cover)
 from dpcharge.planegraph import build_plane_graph
+from dpcharge.solver import induced_degrees
 
 EDGE = build_plane_graph({0: [1], 1: [0]})
 K3 = build_plane_graph({0: [1, 2], 1: [2, 0], 2: [0, 1]})
+P3 = build_plane_graph({0: [1], 1: [0, 2], 2: [1]})
 
 
 def test_identity_cover_single_edge():
@@ -108,5 +114,77 @@ def test_cover_json_round_trip():
 def test_neighbors_in_cover():
     c = identity_cover(K3, 2)
     assert set(c.neighbors_in_cover((0, 1))) == {(1, 1), (2, 1)}
-    assert c.adjacent((0, 1), (1, 1))
-    assert not c.adjacent((0, 1), (1, 2))
+
+
+def test_validate_reports_non_canonical_keys():
+    ident = identity_cover(K3, 3).matchings
+    reversed_key = dict(ident)
+    reversed_key[(1, 0)] = reversed_key.pop((0, 1))
+    both = dict(ident)
+    both[(1, 0)] = ((2, 1),)  # a second matching for the edge 0-1
+    for matchings in (reversed_key, both):
+        report = validate_cover(Cover(K3, 3, ((1, 2, 3),) * 3, matchings))
+        assert not report.valid
+        assert "edge 1-0: key not canonical, expected 0-1" in report.violations
+
+
+def test_cover_from_json_rejects_a_second_spelling_of_a_key():
+    doc = json.loads(cover_to_json(identity_cover(K3, 3), include_graph=False))
+    doc["matchings"]["00-1"] = doc["matchings"]["0-1"]
+    with pytest.raises(ValueError, match="not 'u-v'"):
+        cover_from_json(json.dumps(doc), graph=K3)
+
+
+# -- the node graph against the definition -----------------------------
+
+
+def neighbors_by_definition(cover, node):
+    """Cover neighbors of node read straight from cover.matchings: by base
+    neighbor, then by position in that edge's matching."""
+    u, cu = node
+    out = []
+    for v in sorted(cover.graph.neighbors(u)):
+        for a, b in cover.matchings.get((min(u, v), max(u, v)), ()):
+            mine, theirs = (a, b) if u < v else (b, a)
+            if mine == cu:
+                out.append((v, theirs))
+    return out
+
+
+def assert_node_graph_matches_definition(cover):
+    vert, color, own, ids, _ = cover.node_graph
+    nodes = [(v, c) for v in cover.graph.vertices() for c in cover.lists[v]]
+    assert list(zip(vert, color)) == nodes
+    assert [ids[x] for x in nodes] == [i for r in own for i in r] == list(range(len(nodes)))
+    for node in nodes:
+        assert cover.neighbors_in_cover(node) == neighbors_by_definition(cover, node)
+
+
+@pytest.mark.parametrize("graph", [EDGE, P3], ids=["edge", "p3"])
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_node_graph_of_every_enumerated_cover(graph, k):
+    for cover in enumerate_covers(graph, k, 5):
+        assert_node_graph_matches_definition(cover)
+
+
+@pytest.mark.parametrize("name", DEFAULT_CATALOG)
+def test_node_graph_of_random_catalog_covers(name):
+    g = generate(name)
+    rng = Random(name)
+    for k in (1, 2, 3):
+        for seed in range(4):
+            for full in (True, False):
+                cover = random_cover(g, k, seed, full)
+                assert_node_graph_matches_definition(cover)
+                t = {v: rng.choice(cover.lists[v]) for v in g.vertices()}
+                vert, color, _, ids, adj = cover.node_graph
+                from_graph = {v: sum(t[vert[q]] == color[q] for q in adj[ids[(v, c)]])
+                              for v, c in t.items()}
+                assert induced_degrees(cover, t) == from_graph
+
+
+def test_node_graph_skips_entries_that_are_not_cover_edges():
+    # a reversed key, a non-edge and an unlisted color give no edge
+    c = Cover(P3, 1, ((1,), (1,), (1,)),
+              {(1, 0): ((1, 1),), (0, 2): ((1, 1),), (1, 2): ((1, 1), (2, 1))})
+    assert [c.neighbors_in_cover((v, 1)) for v in range(3)] == [[], [(2, 1)], [(1, 1)]]

@@ -1,12 +1,15 @@
 """Property-based checks over seeded random covers and catalog graphs."""
 
+import json
 from itertools import product
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from dpcharge.catalog import generate
-from dpcharge.cover import (count_matchings, cover_to_json, enumerate_covers,
-                            identity_cover, random_cover)
+from dpcharge.cover import (count_matchings, cover_from_json, cover_to_json,
+                            enumerate_covers, identity_cover, random_cover,
+                            validate_cover)
 from dpcharge.cycles import cycles_of_length
 from dpcharge.discharge import RuleSet, run_rules
 from dpcharge.solver import (SearchStatus, find_ba, structure_of_transversal,
@@ -56,7 +59,7 @@ def test_identity_cover_matches_proper_coloring():
         for combo in product((1, 2, 3), repeat=g.vertex_count):
             t = dict(enumerate(combo))
             independent = not any(
-                (t[u], t[v]) in cover.matching(u, v) for (u, v) in g.edges)
+                (t[u], t[v]) in cover.matchings[(u, v)] for (u, v) in g.edges)
             proper = all(t[u] != t[v] for (u, v) in g.edges)
             assert independent == proper
 
@@ -106,3 +109,76 @@ def test_single_edge_matching_count_closed_form():
     for k in (1, 2, 3):
         enumerated = sum(1 for _ in enumerate_covers(edge, k, 5))
         assert enumerated == count_matchings(k)
+
+
+# -- cover JSON: the input boundary -------------------------------------
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 5) | st.floats(allow_nan=False)
+    | st.text(max_size=4),
+    lambda kids: st.lists(kids, max_size=4) | st.dictionaries(st.text(max_size=4), kids,
+                                                              max_size=4),
+    max_leaves=12)
+THETA = generate("theta:1,2,2")
+VALID_COVER = json.loads(cover_to_json(random_cover(THETA, 3, 5, False), include_graph=False))
+N = THETA.vertex_count
+# keys as they could be spelled: canonical, reversed, self-loops, non-edges,
+# out-of-range vertices and malformed text
+KEYS = (st.builds(lambda u, v: f"{u}-{v}", st.integers(0, N + 1), st.integers(0, N + 1))
+        | st.sampled_from(["-1-0", "0-01", "00-1", "0 - 1", "0-1-2", "", "x-y"])
+        | st.text(max_size=5))
+PAIRS = st.lists(st.lists(st.integers(0, 4), min_size=2, max_size=2), max_size=4)
+
+
+def _load_then_validate(doc) -> None:
+    """Only ValueError escapes, and no accepted cover has a non-canonical key."""
+    if not (isinstance(doc, dict) and isinstance(doc.get("graph"), str)):
+        with pytest.raises(ValueError):  # no graph, embedded or supplied
+            cover_from_json(json.dumps(doc))
+    try:
+        cover = cover_from_json(json.dumps(doc), graph=THETA)
+    except ValueError:
+        return
+    report = validate_cover(cover)
+    if report.valid:
+        assert all(u < v and THETA.has_edge(u, v) for u, v in cover.matchings)
+        *_, adj = cover.node_graph  # every matched pair is one cover edge
+        assert sum(map(len, adj)) == 2 * cover.edge_total()
+
+
+@given(doc=JSON_VALUES | st.fixed_dictionaries(
+    {}, optional={"k": JSON_VALUES, "lists": JSON_VALUES, "matchings": JSON_VALUES,
+                  "provenance": JSON_VALUES, "graph": JSON_VALUES}))
+@settings(max_examples=300, deadline=None)
+def test_cover_json_arbitrary_documents(doc):
+    _load_then_validate(doc)
+
+
+@given(lists=st.dictionaries(st.sampled_from([str(v) for v in range(N + 1)]),
+                             st.lists(st.integers(-1, 4), max_size=4) | JSON_VALUES,
+                             max_size=2),
+       matchings=st.dictionaries(KEYS, PAIRS | JSON_VALUES, max_size=4),
+       drop=st.lists(st.sampled_from(sorted(VALID_COVER["matchings"])), max_size=3),
+       k=st.sampled_from([3, 3, 3, 0, 4, -1, "3", True, 3.0]))
+@settings(max_examples=400, deadline=None)
+def test_cover_json_mutations_of_a_valid_cover(lists, matchings, drop, k):
+    doc = json.loads(json.dumps(VALID_COVER))
+    doc["k"] = k
+    doc["lists"].update(lists)
+    for key in drop:
+        doc["matchings"].pop(key, None)
+    doc["matchings"].update(matchings)
+    _load_then_validate(doc)
+
+
+@given(keys=st.lists(st.tuples(st.integers(0, N + 1), st.integers(0, N + 1)), min_size=1,
+                     max_size=4),
+       pairs=PAIRS)
+@settings(max_examples=200, deadline=None)
+def test_cover_json_reversed_duplicated_and_non_edge_keys(keys, pairs):
+    doc = json.loads(json.dumps(VALID_COVER))
+    for u, v in keys:
+        doc["matchings"][f"{u}-{v}"] = pairs
+    _load_then_validate(doc)
+    if any(not (u < v and THETA.has_edge(u, v)) for u, v in keys):
+        assert not validate_cover(cover_from_json(json.dumps(doc), graph=THETA)).valid
