@@ -12,9 +12,10 @@ import functools
 import json
 import os
 import sys
+from itertools import chain
 
 from .catalog import DEFAULT_CATALOG, generate
-from .cover import (Cover, cover_from_json, cover_to_json, identity_cover,
+from .cover import (Cover, cover_doc, cover_from_doc, cover_from_json, identity_cover,
                     random_cover, validate_cover)
 from .discharge import RuleSet, audit, run_rules
 from .hunt import hunt as run_hunt
@@ -269,7 +270,7 @@ def _cmd_solve(args) -> int:
             "mode": args.mode,
             "k": args.k,
             "assignment": {str(v): c for v, c in assignment.items()},
-            "cover": json.loads(cover_to_json(cover, include_graph=False)),
+            "cover": cover_doc(cover),
         }
         if ordered:
             doc["order"] = [[v, c] for v, c in ordered.order]
@@ -303,19 +304,26 @@ def _cmd_verify(args) -> int:
         raise CliError(f"transversal was recorded for graph hash {recorded}, "
                        f"but {args.file} hashes to {actual}")
     try:
-        cover = cover_from_json(json.dumps(doc["cover"]), graph=g)
+        cover = cover_from_doc(doc["cover"], graph=g)
         assignment = {int(v): c for v, c in doc["assignment"].items()}
     except (KeyError, TypeError, AttributeError) as exc:
         raise CliError(f"malformed transversal: {exc!r}")
     problems = validate_cover(cover)
     if not problems.valid:
         raise CliError("invalid cover: " + "; ".join(problems.violations))
+    order, budgets = doc.get("order", []), doc.get("defects", [])
+    if not (isinstance(order, list) and all(isinstance(e, list) and len(e) == 2 for e in order)):
+        raise CliError("malformed transversal: order must be a list of [vertex, color] pairs")
+    if not isinstance(budgets, list):
+        raise CliError("malformed transversal: defects must be a list of budgets")
+    if not set(map(type, chain(assignment.values(), *order, budgets))) <= {int}:
+        raise CliError("malformed transversal: colors, order entries and defects must be integers")
     check_order = args.order or ("order" in doc and not args.defects)
     ok = True
     if check_order:
         if "order" not in doc:
             raise CliError("transversal file has no order array")
-        ot = OrderedTransversal(assignment, tuple((v, c) for v, c in doc["order"]))
+        ot = OrderedTransversal(assignment, tuple(map(tuple, order)))
         report = verify_ba(cover, ot)
         if report.passed:
             print(f"{name}: order conditions pass")
@@ -324,8 +332,7 @@ def _cmd_verify(args) -> int:
             print(f"{name}: condition ({v.condition}) violated at position "
                   f"{v.position}: {v.detail}")
             ok = False
-    defects = args.defects or (",".join(str(x) for x in doc["defects"])
-                               if "defects" in doc else None)
+    defects = args.defects or ",".join(map(str, budgets))
     if defects and not check_order:
         d = DefectVector(tuple(int(x) for x in defects.split(",")))
         report = verify_defective(cover, assignment, d)

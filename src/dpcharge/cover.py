@@ -21,6 +21,7 @@ from random import Random
 from typing import Iterator, Mapping, Sequence
 
 from .planegraph import PlaneGraph
+from .reporting import dump_json
 
 Node = tuple[int, int]
 Pair = tuple[int, int]  # (color at u, color at v) for an edge (u, v) with u < v
@@ -211,27 +212,37 @@ def validate_cover(cover: Cover) -> CoverValidation:
 # -- serialization -----------------------------------------------------
 
 
-def cover_to_json(cover: Cover, include_graph: bool = True) -> str:
-    """Canonical JSON text; equal covers serialize byte-identically."""
-    from .rotfile import serialize_rotation_file
-
-    doc: dict = {
+def cover_doc(cover: Cover) -> dict:
+    """The cover, without its graph, as a document of JSON values."""
+    return {
         "k": cover.k,
         "lists": {str(v): list(cover.lists[v]) for v in cover.graph.vertices()},
         "matchings": {f"{u}-{v}": [list(p) for p in pairs]
                       for (u, v), pairs in sorted(cover.matchings.items())},
         "provenance": {key: val for key, val in cover.provenance},
     }
+
+
+def cover_to_json(cover: Cover, include_graph: bool = True) -> str:
+    """Canonical JSON text; equal covers serialize byte-identically."""
+    from .rotfile import serialize_rotation_file
+
+    doc = cover_doc(cover)
     if include_graph:
         doc["graph"] = serialize_rotation_file(cover.graph, name="cover-base")
-    return json.dumps(doc, sort_keys=True, indent=1)
+    return dump_json(doc)
 
 
 def cover_from_json(text: str, graph: PlaneGraph | None = None) -> Cover:
     """Parse a cover document; a malformed one raises ValueError."""
+    return cover_from_doc(json.loads(text), graph)
+
+
+def cover_from_doc(doc: object, graph: PlaneGraph | None = None) -> Cover:
+    """Build a cover from a parsed cover document; a malformed one raises
+    ValueError."""
     from .rotfile import parse_rotation_file
 
-    doc = json.loads(text)
     if not (isinstance(doc, dict) and {"k", "lists", "matchings"} <= doc.keys()):
         raise ValueError("cover JSON must be an object with k, lists and matchings")
     if graph is None:

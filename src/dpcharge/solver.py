@@ -9,15 +9,17 @@ has at most one earlier neighbor, that neighbor itself being adjacent
 to at most one node placed before the current one.
 
 Each node's B_A condition reads only its own prefix, so a placement
-prefix that was valid never becomes invalid later; the searches below
-exploit this by building the order as the assignment order.
+prefix that was valid never becomes invalid later; the B_A search
+exploits this by building the order as the assignment order.
 
-Both searches run on an explicit stack, so their depth (the vertex
-count) is not bounded by the interpreter's recursion limit.  The B_A
-search keeps each unplaced vertex's feasible colors and, after a
-placement, re-checks only the vertices within distance 2 of the placed
-one, restoring the changed lists from an undo log on backtrack; a search
-that never backtracks therefore costs near-linear time in the graph size.
+Both finders are thin wrappers over one search core, _search, which runs
+on an explicit stack (the depth is not bounded by the interpreter's
+recursion limit) and does forward checking (Haralick & Elliott, AIJ
+1980).  A mode is two numbers per node: how many placed neighbors the
+node may have, and how many make a placed node block its unplaced
+neighbors.  The defective search keeps a fixed vertex order and the B_A
+search its fewest-colors-first order, so the pruning never changes which
+solution is found first; a node expanded is one feasible placement.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from heapq import heappop, heappush
-from typing import Mapping
+from typing import Mapping, Sequence
 
 from .cover import Cover, Node
 
@@ -104,84 +106,204 @@ class DefectOutcome:
     nodes_expanded: int
 
 
-def find_defective_dp(cover: Cover, d: DefectVector, node_limit: int = 2_000_000) -> DefectOutcome:
-    """Backtracking search for a defective DP-coloring.
+def _search(cover: Cover, lim: Sequence[int], sat: Sequence[int],
+            fixed: Sequence[int] | None, node_limit: int) -> tuple[SearchStatus, list[int], int]:
+    """The depth-first search both finders run, over the node ids of
+    cover.node_graph; returns the status, the placed nodes in placement
+    order and the number of placements made.
 
-    Vertices are assigned highest-degree-first (ties by id); a branch is
-    pruned as soon as any committed node exceeds its budget, which is
-    sound because induced degrees only grow along a branch.  The depth
-    is an index into that fixed order, with the next color to try kept
-    per depth, so the search needs no recursion.
+    A node x of an unplaced vertex is feasible while at most lim[x] of
+    its neighbors are placed and no placed neighbor q is saturated, that
+    is, has sat[q] placed neighbors of its own.  Placements only add, so
+    a node that stops being feasible never recovers (forward checking):
+    a placement that leaves some unplaced vertex without a feasible node
+    is undone at once, and a node is counted only when it is placed.
+
+    Feasible nodes are kept per vertex and updated incrementally.
+    Placing p changes feasibility only for the unplaced neighbors of p
+    and, when a placed neighbor q of p becomes saturated, for the
+    unplaced neighbors of q; only their vertices are re-checked, and an
+    undo log restores their lists on backtrack.
+
+    With a fixed vertex order the candidate at depth i is fixed[i].
+    Otherwise (fixed is None) the placement order is part of the answer,
+    so every unplaced vertex is a candidate, in order of fewest feasible
+    nodes (ties by id): vertices are bucketed by list length, so the
+    first candidate is the lowest id of the lowest non-empty bucket, and
+    the full candidate order is built only when that candidate's nodes
+    all fail.  Dead prefixes are then memoized by their placed node set
+    when the graph has at most 20 vertices: feasibility of any extension
+    depends only on that set, not on the order that reached it.
     """
-    graph = cover.graph
-    if len(d) != cover.k:
-        raise ValueError(f"defect vector length {len(d)} != k={cover.k}")
-    n = graph.vertex_count
-    order = sorted(graph.vertices(), key=lambda v: (-graph.degree(v), v))
-    # budgets by color, read for placed nodes, whose colors passed d.budget
-    caps = {c: d.budget(c) for c in range(1, len(d) + 1)}
-    vert, color, _, ids, adj = cover.node_graph
+    n = cover.graph.vertex_count
+    dynamic = fixed is None
+    memo_on = dynamic and n <= 20
+    vert, _, own, _, adj = cover.node_graph
     at = [-1] * n  # placed node of each vertex, -1 while unplaced
-    deg = [0] * n
-
-    def place(v: int, c: int) -> list[int] | None:
-        """Commit (v, c); return the bumped vertices or None on violation."""
-        p = ids[(v, c)]
-        bumped = []
-        dv = 0
-        for q in adj[p]:
-            u = vert[q]
-            if at[u] == q:
-                dv += 1
-                deg[u] += 1
-                bumped.append(u)
-                if deg[u] > caps[color[q]]:
-                    for w in bumped:
-                        deg[w] -= 1
-                    return None
-        if dv > d.budget(c):
-            for w in bumped:
-                deg[w] -= 1
-            return None
-        at[v] = p
-        deg[v] = dv
-        return bumped
-
-    depth = 0  # order[:depth] is colored
-    tried = [0] * (n + 1)  # colors tried so far at each depth
-    bumped_at: list[list[int]] = [[] for _ in range(n)]
+    cnt = [0] * len(vert)  # placed neighbors of each node
+    blk = [0] * len(vert)  # saturated placed neighbors of each node
+    cols = [list(r) for r in own]  # feasible nodes of each unplaced vertex
+    top = max((len(r) for r in own), default=0)
+    # buckets by list length, as heaps of vertex ids; an entry is live while
+    # its vertex is unplaced with a list of that length, and stale entries
+    # are dropped when they reach the top
+    heaps: list[list[int]] = [[] for _ in range(top + 1)]
+    for v in range(n):
+        heaps[len(cols[v])].append(v)
+    zero = len(heaps[0])  # unplaced vertices without a feasible node
+    order: list[int] = []
+    logs: list[list[tuple[int, list[int]]]] = []  # per placement: (vertex, old list)
+    failed: set[frozenset[int]] = set()
     expanded = 0
-    status = SearchStatus.FOUND
-    while depth < n:
-        v = order[depth]
-        colors = cover.lists[v]
-        if tried[depth] < len(colors):
-            c = colors[tried[depth]]
-            tried[depth] += 1
+
+    def first_candidate() -> int:
+        for size in range(1, top + 1):
+            h = heaps[size]
+            while h:
+                u = h[0]
+                if at[u] < 0 and len(cols[u]) == size:
+                    return u
+                heappop(h)
+        raise AssertionError("no unplaced vertex with a feasible node")
+
+    def later_candidates() -> list[int]:
+        rest = [u for u in range(n) if at[u] < 0]
+        rest.sort(key=lambda u: len(cols[u]))  # stable: ties stay by id
+        return rest[1:]
+
+    # The open search nodes on the current path, one per placement: the
+    # feasible nodes of the candidate being tried, the index of the next
+    # one, the candidates after the first (None until needed), the index
+    # of the next one, and the memo key.  The top node lives in the
+    # locals below; the others are on the stack.
+    stack: list[tuple] = []
+    nodes: list[int] = []
+    j = 0
+    rest: list[int] | None = None
+    pos = 0
+    key: frozenset[int] | None = None
+    entering = True  # a placement was just made, or the search starts
+    while True:
+        if entering:
+            entering = False
+            if len(order) == n:
+                status = SearchStatus.FOUND
+                break
+            child_key = frozenset(order) if memo_on else None
+            dead = memo_on and child_key in failed
+            if not dead and zero:
+                dead = True
+                if memo_on:
+                    failed.add(child_key)
+            if not dead:
+                if order:
+                    stack.append((nodes, j, rest, pos, key))
+                u = first_candidate() if dynamic else fixed[len(order)]
+                nodes, j, rest, pos, key = cols[u], 0, None, 0, child_key
+                continue
+            if not order:
+                status = SearchStatus.NONE
+                break
+        elif j < len(nodes):
+            p = nodes[j]
+            j += 1
             expanded += 1
             if expanded > node_limit:
                 status = SearchStatus.EXHAUSTED
                 break
-            bumped = place(v, c)
-            if bumped is not None:
-                bumped_at[depth] = bumped
-                depth += 1
-                tried[depth] = 0
+            # place p, then re-check the vertices whose lists it can change
+            at[vert[p]] = p
+            order.append(p)
+            touched = []
+            if cnt[p] == sat[p]:  # saturated on placement: blocks its neighbors
+                for y in adj[p]:
+                    blk[y] += 1
+            for q in adj[p]:
+                cnt[q] += 1
+                u = vert[q]
+                if at[u] < 0:
+                    touched.append(u)
+                elif at[u] == q and cnt[q] == sat[q]:  # q saturates now
+                    for y in adj[q]:
+                        blk[y] += 1
+                        if blk[y] == 1 and at[vert[y]] < 0:
+                            touched.append(vert[y])
+            log = []
+            for u in touched:
+                old = cols[u]
+                new = [x for x in own[u] if cnt[x] <= lim[x] and not blk[x]]
+                if len(new) != len(old):  # lists only shrink as nodes are placed
+                    log.append((u, old))
+                    cols[u] = new
+                    if not new:
+                        zero += 1
+                    elif dynamic:
+                        heappush(heaps[len(new)], u)
+            logs.append(log)
+            entering = True
             continue
-        if depth == 0:
-            status = SearchStatus.NONE
-            break
-        depth -= 1
-        at[order[depth]] = -1
-        for w in bumped_at[depth]:
-            deg[w] -= 1
+        else:
+            if rest is None:
+                rest = later_candidates() if dynamic else []
+            if pos < len(rest):
+                nodes, j = cols[rest[pos]], 0
+                pos += 1
+                continue
+            # every candidate failed
+            if memo_on:
+                failed.add(key)
+            if not stack:
+                status = SearchStatus.NONE
+                break
+            nodes, j, rest, pos, key = stack.pop()
+        # undo the last placement
+        for u, old in reversed(logs.pop()):
+            if not cols[u]:
+                zero -= 1
+            cols[u] = old
+            if dynamic:
+                heappush(heaps[len(old)], u)
+        p = order.pop()
+        v = vert[p]
+        at[v] = -1
+        for q in adj[p]:
+            if cnt[q] == sat[q] and at[vert[q]] == q:
+                for y in adj[q]:
+                    blk[y] -= 1
+            cnt[q] -= 1
+        if cnt[p] == sat[p]:
+            for y in adj[p]:
+                blk[y] -= 1
+        if dynamic:
+            heappush(heaps[len(cols[v])], v)
+    return status, order, expanded
 
-    if status is SearchStatus.FOUND:
-        result = {v: color[at[v]] for v in order}
-        report = verify_defective(cover, result, d)
-        assert report.passed, "solver soundness: found transversal failed verification"
-        return DefectOutcome(status, result, expanded)
-    return DefectOutcome(status, None, expanded)
+
+def find_defective_dp(cover: Cover, d: DefectVector, node_limit: int = 2_000_000) -> DefectOutcome:
+    """Search for a defective DP-coloring with forward checking.
+
+    Vertices are assigned highest-degree-first (ties by id), each one's
+    colors in list order.  A node (v, c) is feasible while at most d_c
+    of its neighbors are placed and no placed neighbor is at its own
+    budget; a placement that leaves some unplaced vertex without a
+    feasible color is undone at once.  Both prunes are sound because
+    induced degrees only grow along a branch, so with the order fixed
+    the first transversal found is the one plain backtracking would
+    find.  nodes_expanded counts feasible placements.
+    """
+    if len(d) != cover.k:
+        raise ValueError(f"defect vector length {len(d)} != k={cover.k}")
+    graph = cover.graph
+    vert, color = cover.node_graph[:2]
+    caps = [d.budget(c) for c in color]
+    fixed = sorted(graph.vertices(), key=lambda v: (-graph.degree(v), v))
+    status, placed, expanded = _search(cover, caps, caps, fixed, node_limit)
+    if status is not SearchStatus.FOUND:
+        return DefectOutcome(status, None, expanded)
+    result = {vert[p]: color[p] for p in placed}
+    report = verify_defective(cover, result, d)
+    assert report.passed, "solver soundness: found transversal failed verification"
+    return DefectOutcome(status, result, expanded)
 
 
 # -- B_A colorings -----------------------------------------------------
@@ -209,8 +331,6 @@ class BAViolation:
 @dataclass(frozen=True)
 class BAReport:
     passed: bool
-    left_neighbor_counts: tuple[tuple[Node, int], ...]
-    left_neighbor_loads: tuple[tuple[Node, int], ...]  # unique left neighbor's earlier-degree
     violation: BAViolation | None
 
 
@@ -219,33 +339,29 @@ def verify_ba(cover: Cover, ot: OrderedTransversal) -> BAReport:
 
     For the node at position p with color c: c = 1 requires no neighbor
     among positions < p; otherwise at most one such neighbor w, and w
-    must have at most one neighbor among positions < p.
+    must have at most one neighbor among positions < p.  The violation
+    reported is the first one in order.
     """
     _check_transversal(cover, ot.assignment)
     placed: set[Node] = set()
-    counts: list[tuple[Node, int]] = []
-    loads: list[tuple[Node, int]] = []
-    violation: BAViolation | None = None
     for p, node in enumerate(ot.order):
-        v, c = node
+        c = node[1]
         lefts = [w for w in cover.neighbors_in_cover(node) if w in placed]
-        counts.append((node, len(lefts)))
-        if c == 1 and lefts and violation is None:
-            violation = BAViolation(1, node, p,
-                                    f"color-1 node {node} has left neighbor {lefts[0]}")
-        elif c != 1 and len(lefts) > 1 and violation is None:
-            violation = BAViolation(2, node, p,
-                                    f"node {node} has {len(lefts)} left neighbors")
-        elif c != 1 and len(lefts) == 1:
+        if c == 1 and lefts:
+            return BAReport(False, BAViolation(
+                1, node, p, f"color-1 node {node} has left neighbor {lefts[0]}"))
+        if c != 1 and len(lefts) > 1:
+            return BAReport(False, BAViolation(
+                2, node, p, f"node {node} has {len(lefts)} left neighbors"))
+        if c != 1 and lefts:
             w = lefts[0]
             load = sum(1 for x in cover.neighbors_in_cover(w) if x in placed)
-            loads.append((node, load))
-            if load > 1 and violation is None:
-                violation = BAViolation(
+            if load > 1:
+                return BAReport(False, BAViolation(
                     2, node, p,
-                    f"left neighbor {w} of {node} is adjacent to {load} nodes left of it")
+                    f"left neighbor {w} of {node} is adjacent to {load} nodes left of it"))
         placed.add(node)
-    return BAReport(violation is None, tuple(counts), tuple(loads), violation)
+    return BAReport(True, None)
 
 
 @dataclass(frozen=True)
@@ -256,170 +372,27 @@ class BAOutcome:
 
 
 def find_ba(cover: Cover, node_limit: int = 2_000_000) -> BAOutcome:
-    """Depth-first search for a B_A coloring over the node ids of
-    cover.node_graph; placement order is the left-to-right order.
+    """Depth-first search for a B_A coloring; placement order is the
+    left-to-right order.
 
     At each step every uncolored vertex is a candidate, tried in order
     of fewest feasible colors (ties by id); restricting to a single
     candidate vertex would be incomplete because a placement that fails
     now never succeeds later, but a different vertex may have to go
-    first.  Dead prefixes are memoized by their placed node set when the
-    graph has at most 20 vertices: feasibility of any extension depends
-    only on that set, not on the order that reached it.
-
-    Feasible colors are kept per vertex and updated incrementally.  A
-    node's feasibility reads its placed neighbors and their placed
-    degrees, so placing (v, c) can only change it for vertices within
-    distance 2 of v: the unplaced neighbors of v, and the unplaced
-    neighbors of a placed neighbor whose placed degree reaches 2.  Only
-    those are re-checked, and an undo log restores their lists on
-    backtrack.  Vertices are bucketed by list length, so a dead vertex
-    (empty list) is seen in O(1) and the first candidate is the lowest
-    id of the lowest non-empty bucket; the full candidate order is built
-    only when that candidate's colors all fail.  An explicit stack
-    replaces recursion, so the depth is not bounded by the interpreter.
+    first.  A node is feasible while it has no placed neighbor (color 1)
+    or at most one (other colors), and no placed neighbor has two placed
+    neighbors of its own.
     """
-    graph = cover.graph
-    n = graph.vertex_count
-    memo_on = n <= 20
-    vert, color, own, _, adj = cover.node_graph
-    at = [-1] * n  # placed node of each vertex, -1 while unplaced
-    cnt = [0] * len(vert)  # placed neighbors of each node
-    lsum = [0] * len(vert)  # sum of their ids: the neighbor itself when cnt is 1
-    cols = [list(r) for r in own]  # feasible nodes of each unplaced vertex
-    top = max((len(r) for r in own), default=0)
-    # buckets by list length, as heaps of vertex ids; an entry is live while
-    # its vertex is unplaced with a list of that length, and stale entries
-    # are dropped when they reach the top
-    heaps: list[list[int]] = [[] for _ in range(top + 1)]
-    for v in graph.vertices():
-        heaps[len(cols[v])].append(v)
-    zero = len(heaps[0])  # unplaced vertices without a feasible color
-    order: list[int] = []
-    logs: list[list[tuple[int, list[int]]]] = []  # per placement: (vertex, old list)
-    failed: set[frozenset[int]] = set()
-    expanded = 0
-
-    def first_candidate() -> int:
-        for size in range(1, top + 1):
-            h = heaps[size]
-            while h:
-                u = h[0]
-                if at[u] < 0 and len(cols[u]) == size:
-                    return u
-                heappop(h)
-        raise AssertionError("no unplaced vertex with a feasible color")
-
-    def later_candidates() -> list[int]:
-        rest = [u for u in graph.vertices() if at[u] < 0]
-        rest.sort(key=lambda u: len(cols[u]))  # stable: ties stay by id
-        return rest[1:]
-
-    # The open search nodes on the current path, one per placement: the
-    # feasible nodes of the candidate being tried, the index of the next
-    # one, the candidates after the first (None until needed), the index
-    # of the next one, and the memo key.  The top node lives in the
-    # locals below; the others are on the stack.
-    stack: list[tuple] = []
-    nodes: list[int] = []
-    j = 0
-    rest: list[int] | None = None
-    pos = 0
-    key: frozenset[int] | None = None
-    entering = True  # a placement was just made, or the search starts
-    while True:
-        if entering:
-            entering = False
-            if len(order) == n:
-                status = SearchStatus.FOUND
-                break
-            child_key = frozenset(order) if memo_on else None
-            dead = memo_on and child_key in failed
-            if not dead and zero:
-                # monotone: a vertex with no feasible color never recovers
-                dead = True
-                if memo_on:
-                    failed.add(child_key)
-            if not dead:
-                if order:
-                    stack.append((nodes, j, rest, pos, key))
-                nodes, j, rest, pos, key = cols[first_candidate()], 0, None, 0, child_key
-                continue
-            if not order:
-                status = SearchStatus.NONE
-                break
-        elif j < len(nodes):
-            p = nodes[j]
-            j += 1
-            expanded += 1
-            if expanded > node_limit:
-                status = SearchStatus.EXHAUSTED
-                break
-            # place p, then re-check the vertices whose lists it can change
-            at[vert[p]] = p
-            order.append(p)
-            touched = []
-            for q in adj[p]:
-                cnt[q] += 1
-                lsum[q] += p
-                u = vert[q]
-                if at[u] < 0:
-                    touched.append(u)
-                elif at[u] == q and cnt[q] == 2:
-                    # q stops being a usable unique left neighbor
-                    touched.extend(vert[y] for y in adj[q]
-                                   if cnt[y] == 1 and at[vert[y]] < 0)
-            log = []
-            for u in touched:
-                old = cols[u]
-                new = [x for x in own[u]
-                       if cnt[x] == 0
-                       or (cnt[x] == 1 and color[x] != 1 and cnt[lsum[x]] <= 1)]
-                if len(new) != len(old):  # lists only shrink as nodes are placed
-                    log.append((u, old))
-                    cols[u] = new
-                    if new:
-                        heappush(heaps[len(new)], u)
-                    else:
-                        zero += 1
-            logs.append(log)
-            entering = True
-            continue
-        else:
-            if rest is None:
-                rest = later_candidates()
-            if pos < len(rest):
-                nodes, j = cols[rest[pos]], 0
-                pos += 1
-                continue
-            # every candidate failed
-            if memo_on:
-                failed.add(key)
-            if not stack:
-                status = SearchStatus.NONE
-                break
-            nodes, j, rest, pos, key = stack.pop()
-        # undo the last placement
-        for u, old in reversed(logs.pop()):
-            if not cols[u]:
-                zero -= 1
-            cols[u] = old
-            heappush(heaps[len(old)], u)
-        p = order.pop()
-        v = vert[p]
-        at[v] = -1
-        for q in adj[p]:
-            cnt[q] -= 1
-            lsum[q] -= p
-        heappush(heaps[len(cols[v])], v)
-
-    if status is SearchStatus.FOUND:
-        ot = OrderedTransversal({vert[p]: color[p] for p in order},
-                                tuple((vert[p], color[p]) for p in order))
-        report = verify_ba(cover, ot)
-        assert report.passed, "solver soundness: found ordering failed verification"
-        return BAOutcome(status, ot, expanded)
-    return BAOutcome(status, None, expanded)
+    vert, color = cover.node_graph[:2]
+    lim = [0 if c == 1 else 1 for c in color]
+    status, placed, expanded = _search(cover, lim, [2] * len(color), None, node_limit)
+    if status is not SearchStatus.FOUND:
+        return BAOutcome(status, None, expanded)
+    ot = OrderedTransversal({vert[p]: color[p] for p in placed},
+                            tuple((vert[p], color[p]) for p in placed))
+    report = verify_ba(cover, ot)
+    assert report.passed, "solver soundness: found ordering failed verification"
+    return BAOutcome(status, ot, expanded)
 
 
 @dataclass(frozen=True)

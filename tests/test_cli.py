@@ -209,6 +209,31 @@ def test_verify_invalid_cover_is_usage_error(tmp_path, capsys, edit, violation):
     assert "invalid cover" in err and violation in err
 
 
+def _defect_budgets_not_a_list(doc):
+    del doc["order"]
+    doc["defects"] = 5
+
+
+def _order_colour_a_list(doc):
+    doc["order"][0][1] = [1]
+
+
+@pytest.mark.parametrize("edit,message", [
+    (_defect_budgets_not_a_list, "defects must be a list"),
+    (_order_colour_a_list, "order entries and defects must be integers"),
+], ids=["defects-int", "order-colour-list"])
+def test_malformed_transversal_is_usage_error(tmp_path, capsys, edit, message):
+    t_path = _solved_transversal(tmp_path, "k4")
+    doc = json.loads(t_path.read_text())
+    edit(doc)
+    t_path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    code = cli_dispatch(["verify", str(tmp_path / "solved.pg"), "--transversal", str(t_path)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: malformed transversal") and message in err
+
+
 # Graphs past the interpreter's default recursion depth (about 1000 frames):
 # both searches must run on an explicit stack.
 

@@ -1,8 +1,10 @@
+from itertools import product
+
 import pytest
 
-from dpcharge.catalog import generate
+from dpcharge.catalog import DEFAULT_CATALOG, generate
 from dpcharge.cover import enumerate_covers, random_cover
-from dpcharge.oracle import brute_ba, brute_defective
+from dpcharge.oracle import SIZE_GUARD, brute_ba, brute_defective
 from dpcharge.planegraph import build_plane_graph
 from dpcharge.solver import DefectVector, find_ba, find_defective_dp
 
@@ -31,6 +33,22 @@ def test_every_triangle_cover_agrees():
         assert find_ba(cover).status is brute_ba(cover).status
         assert (find_defective_dp(cover, D022).status
                 is brute_defective(cover, D022).status)
+
+
+@pytest.mark.parametrize("name", [n for n in DEFAULT_CATALOG
+                                  if generate(n).vertex_count <= SIZE_GUARD])
+def test_every_small_budget_vector_agrees(name):
+    # budgets 0 and 1 are where a placed node saturates and blocks its
+    # neighbors, so every vector in {0,1,2}^k is checked
+    g = generate(name)
+    for k in (1, 2, 3):
+        vectors = [DefectVector(b) for b in product(range(3), repeat=k)]
+        for full in (True, False):
+            for seed in range(10):
+                cover = random_cover(g, k, seed, full)
+                for d in vectors:
+                    assert (find_defective_dp(cover, d).status
+                            is brute_defective(cover, d).status), (k, full, seed, d)
 
 
 def test_size_guard():
