@@ -21,7 +21,8 @@ from .discharge import RuleSet, audit, run_rules
 from .hunt import hunt as run_hunt
 from .lemmas import Verdict, check_structural_lemmas, special_vertex_analysis
 from .planegraph import EmbeddingError, PlaneGraph
-from .reporting import TOOL_VERSION, dump_json, frac_str, input_hash, ledger_to_json
+from .reporting import (TOOL_VERSION, dump_json, frac_str, input_hash, ledger_to_json,
+                        reducible_to_json)
 from .rotfile import RotationFileError, load_rotation_file, serialize_rotation_file
 from .solver import (DefectVector, OrderedTransversal, SearchStatus, find_ba,
                      find_defective_dp, verify_ba, verify_defective)
@@ -174,8 +175,7 @@ def _cmd_structure(args) -> int:
                     list(hyp.other_cycle) if hyp.other_cycle else None,
                 "cycles_ok": hyp.cycles_ok,
             },
-            "reducible": [{"kind": r.kind, "vertices": list(r.vertices),
-                           "detail": r.detail} for r in red],
+            "reducible": [reducible_to_json(r) for r in red],
             "lemmas": [{"item": r.item, "verdict": r.verdict.value,
                         "conclusion_holds": r.conclusion_holds,
                         "witness": repr(r.witness) if r.witness else None,
@@ -319,6 +319,10 @@ def _cmd_verify(args) -> int:
     if not set(map(type, chain(assignment.values(), *order, budgets))) <= {int}:
         raise CliError("malformed transversal: colors, order entries and defects must be integers")
     check_order = args.order or ("order" in doc and not args.defects)
+    defects = args.defects or ",".join(map(str, budgets))
+    if not (check_order or defects):
+        raise CliError("nothing to verify: the transversal has no order and no defects; "
+                       "pass --order or --defects")
     ok = True
     if check_order:
         if "order" not in doc:
@@ -332,7 +336,6 @@ def _cmd_verify(args) -> int:
             print(f"{name}: condition ({v.condition}) violated at position "
                   f"{v.position}: {v.detail}")
             ok = False
-    defects = args.defects or ",".join(map(str, budgets))
     if defects and not check_order:
         d = DefectVector(tuple(int(x) for x in defects.split(",")))
         report = verify_defective(cover, assignment, d)

@@ -2,8 +2,11 @@
 
 Every vertex and face x starts with charge d(x) - 4; the rule sets move
 charge around without creating or destroying any, so the total stays at
-the Euler-forced -8 for a connected plane graph.  All arithmetic uses
-fractions.Fraction: no floats, no rounding, ever.
+the Euler-forced -8 for a connected plane graph.  All arithmetic is
+exact: no floats, no rounding, ever.  Every amount is a whole number of
+1/unit, where unit is the common denominator of the rule table's
+amounts, so charges are replayed in integer units and handed out as
+fractions.Fraction.
 
 Each rule set is one ``RuleTable`` in ``RULES``; a single interpreter
 runs every table.
@@ -11,9 +14,11 @@ runs every table.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
+from functools import cached_property
 
 from .planegraph import Face, PlaneGraph
 from .structure import (Profile, ReducibleConfiguration, VertexClassification,
@@ -54,6 +59,11 @@ class RuleTable:
     def amounts(self) -> frozenset[Fraction]:
         return frozenset([self.vertex_rule[1], self.triangle_rule[1]]
                          + [a for b in self.bands for a in (b.good, b.bad)])
+
+    @cached_property
+    def unit(self) -> int:
+        """The common denominator of the amounts."""
+        return math.lcm(*(a.denominator for a in self.amounts))
 
     def band(self, degree: int) -> Band | None:
         return next((b for b in reversed(self.bands) if b.lo <= degree), None)
@@ -109,18 +119,47 @@ class ChargeLedger:
     rule_violations: list[str] = field(default_factory=list)
     betas: dict[int, Fraction] = field(default_factory=dict)  # 5-face id -> beta
 
-    def final(self) -> dict[str, Fraction]:
-        out = dict(self.initial)
+    @property
+    def unit(self) -> int:
+        """Every charge is a whole number of 1/unit."""
+        return RULES[self.ruleset].unit if self.ruleset else 1
+
+    def _replay(self) -> dict[str, int]:
+        """The final charges in units of 1/unit."""
+        unit = self.unit
+        out = {k: _in_units(q, unit) for k, q in self.initial.items()}
+        units: dict[int, int] = {}  # by id: the amounts are a few shared objects
         for t in self.transfers:
-            out[t.source] -= t.amount
-            out[t.target] += t.amount
+            a = t.amount
+            u = units.get(id(a))
+            if u is None:
+                u = units[id(a)] = _in_units(a, unit)
+            out[t.source] -= u
+            out[t.target] += u
         return out
 
+    def _fractions(self, units: dict[str, int]) -> dict[str, Fraction]:
+        unit = self.unit
+        value = {u: Fraction(u, unit) for u in set(units.values())}
+        return {k: value[u] for k, u in units.items()}
+
+    def final(self) -> dict[str, Fraction]:
+        return self._fractions(self._replay())
+
     def sum_initial(self) -> Fraction:
-        return sum(self.initial.values(), Fraction(0))
+        unit = self.unit
+        return Fraction(sum(_in_units(q, unit) for q in self.initial.values()), unit)
 
     def sum_final(self) -> Fraction:
-        return sum(self.final().values(), Fraction(0))
+        return Fraction(sum(self._replay().values()), self.unit)
+
+
+def _in_units(q: Fraction, unit: int) -> int:
+    n, d = q.as_integer_ratio()
+    n, rest = divmod(n * unit, d)
+    if rest:
+        raise ArithmeticError(f"charge {q} is not a whole number of 1/{unit}")
+    return n
 
 
 def initial_charges(graph: PlaneGraph) -> ChargeLedger:
@@ -176,8 +215,9 @@ def _drain(graph: PlaneGraph, cls: VertexClassification, rule: str,
            ledger: ChargeLedger) -> None:
     # each special 3-vertex takes the remaining charge of its one 5-face,
     # unless another special vertex claims the same face
-    final = ledger.final()
-    ledger.betas = {f.id: final[face_key(f.id)] for f in graph.faces if f.degree == 5}
+    units, unit = ledger._replay(), ledger.unit
+    ledger.betas = {f.id: Fraction(units[face_key(f.id)], unit)
+                    for f in graph.faces if f.degree == 5}
     claims: dict[int, list[int]] = {}
     for v in sorted(cls.special):
         fid = next(f for f in graph.incident_faces(v) if graph.faces[f].degree == 5)
@@ -207,9 +247,10 @@ def run_rules(graph: PlaneGraph, ruleset: RuleSet) -> ChargeLedger:
     if table.drain_rule is not None:
         _drain(graph, cls, table.drain_rule, ledger)
     allowed = table.amounts
-    for t in ledger.transfers:
-        assert t.rule == table.drain_rule or t.amount in allowed, \
-            f"transfer amount {t.amount} not among the rule constants"
+    # by id: the amounts are the table's own objects, so each is checked once
+    amounts = {id(t.amount): t.amount for t in ledger.transfers if t.rule != table.drain_rule}
+    for a in amounts.values():
+        assert a in allowed, f"transfer amount {a} not among the rule constants"
     return ledger
 
 
@@ -255,8 +296,9 @@ def audit(ledger: ChargeLedger) -> AuditReport:
     and the violated hypotheses that explain it."""
     graph = ledger.graph
     total0 = ledger.sum_initial()
-    final = ledger.final()
-    total1 = sum(final.values(), Fraction(0))
+    units = ledger._replay()
+    total1 = Fraction(sum(units.values()), ledger.unit)
+    final = ledger._fractions(units)
     profile = ledger.ruleset.profile if ledger.ruleset else Profile.NO48
     hypothesis = check_profile(graph, profile)
     notes = tuple(hypothesis.notes())
@@ -268,8 +310,8 @@ def audit(ledger: ChargeLedger) -> AuditReport:
         for v in r.vertices:
             by_vertex.setdefault(v, []).append(i)
     negatives = []
-    for key in sorted(final, key=lambda k: (k[0], int(k[1:]))):
-        if final[key] >= 0:
+    for key in sorted(units, key=lambda k: (k[0], int(k[1:]))):
+        if units[key] >= 0:
             continue
         hits = {i for v in _element_vertices(graph, key) for i in by_vertex.get(v, ())}
         local = tuple(reducible[i] for i in sorted(hits))
@@ -277,7 +319,7 @@ def audit(ledger: ChargeLedger) -> AuditReport:
     return AuditReport(
         sum_initial=total0,
         sum_final=total1,
-        euler_identity_ok=total0 == Fraction(-8),
+        euler_identity_ok=total0 == -8,
         conservation_ok=total0 == total1,
         negatives=tuple(negatives),
         final=final,

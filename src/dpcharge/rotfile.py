@@ -7,10 +7,10 @@
     v 1: 2 0
     v 2: 0 1
 
-Comment lines start with '#'; blank lines are ignored.  Vertex ids run
-0..n-1 and each 'v' line lists the neighbors in cyclic order.  Parse
-errors carry the offending line number; embedding errors from the
-builder are surfaced verbatim.
+Comment lines start with '#'; blank lines are ignored.  Numbers are
+ASCII digits.  Vertex ids run 0..n-1 and each 'v' line lists the
+neighbors in cyclic order.  Parse errors carry the offending line
+number; embedding errors from the builder are surfaced verbatim.
 """
 
 from __future__ import annotations
@@ -23,6 +23,11 @@ class RotationFileError(ValueError):
         self.line_no = line_no
         prefix = f"line {line_no}: " if line_no is not None else ""
         super().__init__(prefix + message)
+
+
+def _is_number(token: str) -> bool:
+    # ASCII only: str.isdigit also accepts digits such as '²' that int() rejects
+    return token.isascii() and token.isdigit()
 
 
 def parse_rotation_file(text: str) -> tuple[PlaneGraph, str]:
@@ -42,7 +47,7 @@ def parse_rotation_file(text: str) -> tuple[PlaneGraph, str]:
             continue
         if count is None:
             parts = line.split()
-            if len(parts) != 2 or parts[0] != "n" or not parts[1].isdigit():
+            if len(parts) != 2 or parts[0] != "n" or not _is_number(parts[1]):
                 raise RotationFileError(line_no, "expected 'n <count>'")
             count = int(parts[1])
             continue
@@ -50,7 +55,7 @@ def parse_rotation_file(text: str) -> tuple[PlaneGraph, str]:
             raise RotationFileError(line_no, f"expected 'v <id>: <neighbors>', got {line!r}")
         head, _, tail = line[2:].partition(":")
         head = head.strip()
-        if not head.isdigit():
+        if not _is_number(head):
             raise RotationFileError(line_no, f"bad vertex id {head!r}")
         v = int(head)
         if v >= count:
@@ -59,7 +64,7 @@ def parse_rotation_file(text: str) -> tuple[PlaneGraph, str]:
             raise RotationFileError(line_no, f"duplicate rotation for vertex {v}")
         nbrs = []
         for token in tail.split():
-            if not token.isdigit():
+            if not _is_number(token):
                 raise RotationFileError(line_no, f"bad neighbor token {token!r}")
             w = int(token)
             if w >= count:

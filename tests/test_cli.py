@@ -234,6 +234,28 @@ def test_malformed_transversal_is_usage_error(tmp_path, capsys, edit, message):
     assert err.startswith("error: malformed transversal") and message in err
 
 
+@pytest.mark.parametrize("defects", ["absent", "empty"])
+def test_verify_with_nothing_to_check_is_usage_error(tmp_path, capsys, defects):
+    g_path, t_path = tmp_path / "k4.pg", tmp_path / "t.json"
+    assert cli_dispatch(["gen", "k4", "-o", str(g_path)]) == 0
+    assert cli_dispatch(["solve", str(g_path), "--mode", "defect", "--defects", "0,2,2",
+                         "--json", str(t_path)]) == 0
+    doc = json.loads(t_path.read_text())
+    assert "order" not in doc
+    if defects == "absent":
+        del doc["defects"]
+    else:
+        doc["defects"] = []
+    t_path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert cli_dispatch(["verify", str(g_path), "--transversal", str(t_path)]) == 2
+    captured = capsys.readouterr()
+    assert "nothing to verify" in captured.err and not captured.out
+    # an explicit check still runs
+    assert cli_dispatch(["verify", str(g_path), "--transversal", str(t_path),
+                         "--defects", "0,2,2"]) == 0
+
+
 # Graphs past the interpreter's default recursion depth (about 1000 frames):
 # both searches must run on an explicit stack.
 

@@ -166,3 +166,75 @@ def test_transfers_itemized_with_phase():
     ledger = run_rules(g, RuleSet.RS48)
     assert all(t.phase == 1 for t in ledger.transfers if t.rule != "R6")
     assert all(t.phase == 2 for t in ledger.transfers if t.rule == "R6")
+
+
+# -- the integer replay against an independent Fraction replay ----------
+
+REPLAY_GRAPHS = ([f"cycle:{n}" for n in (3, 4, 5, 6, 7, 8, 10, 12)]
+                 + [f"theta:{a}" for a in ("0,1,2", "1,1,1", "1,2,3", "2,2,2", "1,3,5",
+                                           "2,4,6", "3,4,5")])
+
+
+def _fraction_replay(ledger, last_phase=2):
+    """Initial charges plus one Fraction add per transfer, as written in the paper."""
+    out = dict(ledger.initial)
+    for t in ledger.transfers:
+        if t.phase <= last_phase:
+            out[t.source] -= t.amount
+            out[t.target] += t.amount
+    return out
+
+
+def _check_replay(g, ruleset):
+    ledger = run_rules(g, ruleset)
+    expected = _fraction_replay(ledger)
+    final = ledger.final()
+    assert final == expected
+    assert all(type(x) is Fraction for x in final.values())
+    assert all(type(t.amount) is Fraction for t in ledger.transfers)
+    report = audit(ledger)
+    assert report.final == expected
+    assert report.sum_initial == sum(ledger.initial.values(), F(0)) == ledger.sum_initial()
+    assert report.sum_final == sum(expected.values(), F(0)) == ledger.sum_final()
+    assert type(report.sum_initial) is type(report.sum_final) is Fraction
+    assert [(n.key, n.final) for n in report.negatives] == \
+        sorted(((k, x) for k, x in expected.items() if x < 0),
+               key=lambda kx: (kx[0][0], int(kx[0][1:])))
+    assert all(type(n.final) is Fraction for n in report.negatives)
+    phase1 = _fraction_replay(ledger, last_phase=1)
+    fives = [f.id for f in g.faces if f.degree == 5]
+    if ruleset is RuleSet.RS48:
+        assert ledger.betas == {fid: phase1[face_key(fid)] for fid in fives}
+        assert all(type(b) is Fraction for b in ledger.betas.values())
+    else:
+        assert not ledger.betas
+
+
+@pytest.mark.parametrize("ruleset", list(RuleSet))
+def test_final_matches_fraction_replay_on_catalog(catalog, ruleset):
+    for g in catalog.values():
+        _check_replay(g, ruleset)
+
+
+@pytest.mark.parametrize("ruleset", list(RuleSet))
+@pytest.mark.parametrize("name", REPLAY_GRAPHS)
+def test_final_matches_fraction_replay_on_generated(name, ruleset):
+    _check_replay(generate(name), ruleset)
+
+
+def test_final_matches_fraction_replay_on_r6_gadgets():
+    from charge_fixtures import beta_family, beta_proof_cases
+    drains = 0
+    for _, g, _ in beta_family() + beta_proof_cases():
+        for ruleset in RuleSet:
+            _check_replay(g, ruleset)
+        drains += sum(t.phase == 2 for t in run_rules(g, RuleSet.RS48).transfers)
+    assert drains  # the phase-2 transfers, whose amounts are betas, are replayed too
+
+
+def test_replay_unit_is_the_table_denominator():
+    for ruleset, table in RULES.items():
+        assert table.unit == 12
+        assert all((a * table.unit).denominator == 1 for a in table.amounts)
+        assert run_rules(generate("k4"), ruleset).unit == table.unit
+    assert initial_charges(generate("k4")).unit == 1

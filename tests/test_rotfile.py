@@ -1,8 +1,12 @@
+import io
 import time
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from dpcharge.catalog import DEFAULT_CATALOG, generate
+from dpcharge.cli import cli_dispatch
 from dpcharge.rotfile import (RotationFileError, parse_rotation_file,
                               serialize_rotation_file)
 
@@ -79,3 +83,86 @@ def test_header_only_parse_is_linear():
     g, _ = parse_rotation_file("planegraph big\nn 100000\n")
     assert time.perf_counter() - start < 10
     assert len(g.components) == 100000 and g.face_count == 100000
+
+
+def test_non_ascii_digits_rejected():
+    # '²' passes str.isdigit but not int(): it used to escape as a bare ValueError
+    for text in ("planegraph x\nn ²\n", "planegraph x\nn 2\nv ²: 1\n",
+                 "planegraph x\nn 2\nv 0: ²\n", "planegraph x\nn \u0663\n"):
+        with pytest.raises(RotationFileError):
+            parse_rotation_file(text)
+
+
+# -- fuzz target: only RotationFileError, and exit 2 through the CLI ----
+
+VALID = serialize_rotation_file(generate("figure1"), "figure1")
+TOKENS = st.sampled_from(["planegraph", "n", "v", "x", ":", "0", "1", "2", "7", "8", "12",
+                          "-1", "01", "²", "\u0663", "#", " ", "\t", "\n", "\r", "\x0c",
+                          "\u2028"])
+MAX_COUNT = 200
+
+
+def _small_count(text: str) -> bool:
+    # A header-only file asks for about 1 KB per vertex it declares, so
+    # "n 99999999" is a memory bomb; that bound is a separate open problem.
+    # The target keeps declared counts small and checks the error types only.
+    for line in text.splitlines():
+        parts = line.split()
+        if len(parts) >= 2 and parts[0] == "n" and parts[1].isascii() and parts[1].isdigit():
+            if int(parts[1]) > MAX_COUNT:
+                return False
+    return True
+
+
+@pytest.fixture(scope="module")
+def fuzz_file(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz") / "input.pg"
+
+
+def _parse_and_run_faces(text: str, path) -> None:
+    assume(_small_count(text))
+    try:
+        parse_rotation_file(text)
+        parsed = True
+    except RotationFileError:
+        parsed = False
+    path.write_text(text, encoding="utf-8")
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = cli_dispatch(["faces", str(path)])
+    assert "Traceback" not in out.getvalue() + err.getvalue()
+    if parsed:
+        assert code == 0
+    else:
+        assert code == 2 and err.getvalue().startswith("error: ")
+
+
+@given(text=st.text(max_size=120) | st.lists(TOKENS, max_size=50).map("".join))
+@settings(max_examples=400, deadline=None)
+def test_fuzz_arbitrary_text(text, fuzz_file):
+    _parse_and_run_faces(text, fuzz_file)
+
+
+@given(data=st.data())
+@settings(max_examples=400, deadline=None)
+def test_fuzz_mutations_of_a_valid_file(data, fuzz_file):
+    lines = VALID.splitlines()
+    for _ in range(data.draw(st.integers(1, 6))):
+        i = data.draw(st.integers(0, len(lines) - 1))
+        op = data.draw(st.sampled_from(["delete", "duplicate", "swap", "edit", "edit",
+                                        "garble", "insert"]))
+        if op == "delete" and len(lines) > 1:
+            del lines[i]
+        elif op == "duplicate":
+            lines.insert(i, lines[i])
+        elif op == "swap":
+            j = data.draw(st.integers(0, len(lines) - 1))
+            lines[i], lines[j] = lines[j], lines[i]
+        elif op in ("edit", "garble"):
+            tokens = lines[i].split(" ")
+            k = data.draw(st.integers(0, len(tokens) - 1))
+            tokens[k] = data.draw(TOKENS if op == "edit" else st.text(max_size=3))
+            lines[i] = " ".join(tokens)
+        elif op == "insert":
+            lines.insert(i, data.draw(st.lists(TOKENS, max_size=8).map(" ".join)))
+    _parse_and_run_faces("\n".join(lines) + "\n", fuzz_file)
