@@ -318,8 +318,9 @@ def _cmd_verify(args) -> int:
         raise CliError("malformed transversal: defects must be a list of budgets")
     if not set(map(type, chain(assignment.values(), *order, budgets))) <= {int}:
         raise CliError("malformed transversal: colors, order entries and defects must be integers")
+    # with no flag given, the recorded order is checked, else the recorded budgets
     check_order = args.order or ("order" in doc and not args.defects)
-    defects = args.defects or ",".join(map(str, budgets))
+    defects = args.defects or ("" if check_order else ",".join(map(str, budgets)))
     if not (check_order or defects):
         raise CliError("nothing to verify: the transversal has no order and no defects; "
                        "pass --order or --defects")
@@ -336,7 +337,7 @@ def _cmd_verify(args) -> int:
             print(f"{name}: condition ({v.condition}) violated at position "
                   f"{v.position}: {v.detail}")
             ok = False
-    if defects and not check_order:
+    if defects:
         d = DefectVector(tuple(int(x) for x in defects.split(",")))
         report = verify_defective(cover, assignment, d)
         if report.passed:
@@ -419,10 +420,7 @@ def cli_dispatch(argv: list[str]) -> int:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:
         return _COMMANDS[args.command](args)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (ValueError, RotationFileError) as exc:
+    except (CliError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -48,14 +48,6 @@ class Face:
         return frozenset(u for u, _ in self.walk)
 
     @property
-    def edge_multiset(self) -> tuple[tuple[int, int], ...]:
-        return tuple((min(u, v), max(u, v)) for u, v in self.walk)
-
-    @cached_property
-    def edge_set(self) -> frozenset[tuple[int, int]]:
-        return frozenset(self.edge_multiset)
-
-    @property
     def simple(self) -> bool:
         verts = self.boundary_vertices
         return len(set(verts)) == len(verts) and self.degree >= 3
@@ -79,7 +71,7 @@ class PlaneGraph:
     """
 
     def __init__(self, rotations: tuple[tuple[int, ...], ...], faces: tuple[Face, ...],
-                 components: tuple[frozenset[int], ...]):
+                 components: tuple[frozenset[int], ...], face_of_dart: dict[Dart, int]):
         self.rotations = rotations
         self.faces = faces
         self.components = components
@@ -90,16 +82,10 @@ class PlaneGraph:
         self.edge_count = len(self.edges)
         self.adjacency: tuple[frozenset[int], ...] = tuple(frozenset(r) for r in rotations)
         self.degrees: tuple[int, ...] = tuple(len(r) for r in rotations)
-        self._face_of_dart: dict[Dart, int] = {}
-        for f in faces:
-            for d in f.walk:
-                self._face_of_dart[d] = f.id
+        self._face_of_dart = face_of_dart
         # faces at each vertex, one entry per corner (multiplicity preserved)
-        corner: list[list[int]] = [[] for _ in range(self.vertex_count)]
-        for f in faces:
-            for u, _ in f.walk:
-                corner[u].append(f.id)
-        self._corner_faces = tuple(tuple(sorted(c)) for c in corner)
+        self._corner_faces = tuple(tuple(sorted(face_of_dart[(u, v)] for v in rot))
+                                   for u, rot in enumerate(rotations))
         self._adjacent: tuple[tuple[Face, ...], ...] | None = None  # built on first use
         self._hypotheses: dict = {}  # Profile -> HypothesisReport, see check_profile
         self._classification = None  # VertexClassification, see classify_vertices
@@ -142,7 +128,14 @@ class PlaneGraph:
     # -- face adjacency ------------------------------------------------
 
     def shared_edges(self, f1: Face, f2: Face) -> frozenset[tuple[int, int]]:
-        return f1.edge_set & f2.edge_set
+        """Edges on the boundaries of two distinct faces.
+
+        Each dart lies on one face, so an edge is shared exactly when one
+        face holds one of its darts and the other face the reverse dart.
+        """
+        short, other = (f1, f2) if f1.degree <= f2.degree else (f2, f1)
+        fod, oid = self._face_of_dart, other.id
+        return frozenset((min(u, v), max(u, v)) for u, v in short.walk if fod[(v, u)] == oid)
 
     def face_adjacency(self, f1: Face, f2: Face) -> AdjacencyKind:
         """Classify the relation of two distinct faces.
@@ -181,35 +174,6 @@ class PlaneGraph:
                 f"F={self.face_count}, connected={self.is_connected})")
 
 
-def _trace_faces(rotations: Sequence[Sequence[int]]) -> list[tuple[Dart, ...]]:
-    index = [{v: i for i, v in enumerate(rot)} for rot in rotations]
-    seen: set[Dart] = set()
-    walks = []
-    for u in range(len(rotations)):
-        for v in rotations[u]:
-            if (u, v) in seen:
-                continue
-            walk = []
-            cur = (u, v)
-            while cur not in seen:
-                seen.add(cur)
-                walk.append(cur)
-                a, b = cur
-                rot = rotations[b]
-                cur = (b, rot[(index[b][a] + 1) % len(rot)])
-            if cur != (u, v):
-                raise EmbeddingError(f"dart successor map is not a permutation near {cur}")
-            walk = _canonical_walk(walk)
-            walks.append(tuple(walk))
-    walks.sort(key=lambda w: w[0])
-    return walks
-
-
-def _canonical_walk(walk: list[Dart]) -> list[Dart]:
-    i = walk.index(min(walk))
-    return walk[i:] + walk[:i]
-
-
 def _components(rotations: Sequence[Sequence[int]]) -> list[frozenset[int]]:
     seen = [False] * len(rotations)
     comps = []
@@ -234,10 +198,15 @@ def build_plane_graph(rotations: Mapping[int, Sequence[int]] | Sequence[Sequence
     """Validate a rotation system and trace its faces.
 
     Rejects loops, repeated neighbors within a rotation, asymmetric
-    rotations, and rotation systems whose traced faces violate Euler's
-    formula on any component (such input describes a positive-genus
-    embedding, not a plane graph).  Disconnected input is accepted; the
-    result is flagged through ``is_connected``.
+    rotations, and rotation systems that violate Euler's formula (such
+    input describes a positive-genus embedding, not a plane graph).
+    Disconnected input is accepted; the result is flagged through
+    ``is_connected``.
+
+    Darts are traced in lexicographic order, so each face is met first at
+    its least dart: its walk starts there, and faces are numbered by
+    their least darts.  An isolated vertex bounds one face with an empty
+    walk; these come last, by vertex.
     """
     if isinstance(rotations, Mapping):
         n = len(rotations)
@@ -248,47 +217,48 @@ def build_plane_graph(rotations: Mapping[int, Sequence[int]] | Sequence[Sequence
         rot_list = [tuple(r) for r in rotations]
         n = len(rot_list)
 
+    # position of each neighbor in the rotation at v, for the checks and the trace
+    pos: list[dict[int, int]] = []
     for v, rot in enumerate(rot_list):
         for w in rot:
             if not (0 <= w < n):
                 raise EmbeddingError(f"vertex {v}: neighbor {w} out of range")
-        if v in rot:
+        index = {w: i for i, w in enumerate(rot)}
+        if v in index:
             raise EmbeddingError(f"loop at vertex {v}")
-        if len(set(rot)) != len(rot):
+        if len(index) != len(rot):
             raise EmbeddingError(f"repeated neighbor in rotation of vertex {v}")
+        pos.append(index)
     for v, rot in enumerate(rot_list):
         for w in rot:
-            if v not in rot_list[w]:
+            if v not in pos[w]:
                 raise EmbeddingError(f"asymmetric rotation: {w} lists no edge back to {v}")
 
-    walks = _trace_faces(rot_list)
+    # The successor of the dart (u, v) is (v, w), w following u at v.  It
+    # is a permutation: the predecessor in the rotation gives its inverse.
+    face_of_dart: dict[Dart, int] = {}
+    walks: list[tuple[Dart, ...]] = []
+    for u, rot_u in enumerate(rot_list):
+        for v in sorted(rot_u):
+            if (u, v) in face_of_dart:
+                continue
+            fid, walk, dart = len(walks), [], (u, v)
+            while dart not in face_of_dart:
+                face_of_dart[dart] = fid
+                walk.append(dart)
+                a, b = dart
+                rot = rot_list[b]
+                dart = (b, rot[(pos[b][a] + 1) % len(rot)])
+            walks.append(tuple(walk))
+    del pos  # lowers the peak: the graph's own tables are built next
+    faces = tuple(Face(i, w) for i, w in enumerate(walks + [()] * rot_list.count(())))
     comps = _components(rot_list)
-    # an edgeless component (an isolated vertex) still bounds one face,
-    # whose boundary walk is empty; synthesize it so Euler holds
-    for comp in comps:
-        if all(not rot_list[v] for v in comp):
-            walks.append(())
-    faces = tuple(Face(i, w) for i, w in enumerate(walks))
 
-    # per-component Euler check: each component must be a sphere embedding
-    comp_index = {v: ci for ci, comp in enumerate(comps) for v in comp}
-    face_counts = [0] * len(comps)
-    empty_iter = iter([ci for ci, comp in enumerate(comps)
-                       if all(not rot_list[v] for v in comp)])
-    for f in faces:
-        if f.walk:
-            face_counts[comp_index[f.walk[0][0]]] += 1
-        else:
-            face_counts[next(empty_iter)] += 1
-    for ci, comp in enumerate(comps):
-        vc = len(comp)
-        ec = sum(len(rot_list[v]) for v in comp) // 2
-        fc = face_counts[ci]
-        if vc - ec + fc != 2:
-            raise EmbeddingError(
-                f"Euler formula violated on component {sorted(comp)}: "
-                f"V-E+F = {vc}-{ec}+{fc} = {vc - ec + fc} != 2 (not a plane embedding)")
-
-    g = PlaneGraph(tuple(rot_list), faces, tuple(comps))
-    assert sum(f.degree for f in faces) == 2 * g.edge_count
-    return g
+    # V - E + F = 2 - 2g <= 2 on each component, so the sum is twice the
+    # number of components exactly when every component is a sphere
+    e, f = len(face_of_dart) // 2, len(faces)
+    if n - e + f != 2 * len(comps):
+        raise EmbeddingError(
+            f"Euler formula violated: V-E+F = {n}-{e}+{f} = {n - e + f} != "
+            f"{2 * len(comps)} = 2 x {len(comps)} components (not a plane embedding)")
+    return PlaneGraph(tuple(rot_list), faces, tuple(comps), face_of_dart)

@@ -8,9 +8,10 @@
     v 2: 0 1
 
 Comment lines start with '#'; blank lines are ignored.  Numbers are
-ASCII digits.  Vertex ids run 0..n-1 and each 'v' line lists the
-neighbors in cyclic order.  Parse errors carry the offending line
-number; embedding errors from the builder are surfaced verbatim.
+ASCII digits.  Vertex ids run 0..n-1, each with one 'v' line (empty
+for an isolated vertex) that lists its neighbors in cyclic order.
+Parse errors carry the offending line number; embedding errors from the
+builder are surfaced verbatim.
 """
 
 from __future__ import annotations
@@ -75,8 +76,9 @@ def parse_rotation_file(text: str) -> tuple[PlaneGraph, str]:
         raise RotationFileError(None, "missing 'planegraph <name>' header")
     if count is None:
         raise RotationFileError(None, "missing 'n <count>' line")
-    for v in range(count):
-        rotations.setdefault(v, ())
+    if len(rotations) != count:
+        raise RotationFileError(None, f"{len(rotations)} 'v' lines for n {count}: "
+                                      f"every vertex 0..{count - 1} needs one")
     try:
         return build_plane_graph(rotations), name
     except EmbeddingError as exc:

@@ -256,6 +256,35 @@ def test_verify_with_nothing_to_check_is_usage_error(tmp_path, capsys, defects):
                          "--defects", "0,2,2"]) == 0
 
 
+def test_verify_runs_every_check_asked_for(tmp_path, capsys):
+    g_path, t_path = tmp_path / "k4.pg", tmp_path / "t.json"
+    assert cli_dispatch(["gen", "k4", "-o", str(g_path)]) == 0
+    assert cli_dispatch(["solve", str(g_path), "--mode", "ba", "--json", str(t_path)]) == 0
+    verify = ["verify", str(g_path), "--transversal", str(t_path)]
+    capsys.readouterr()
+    assert cli_dispatch(verify + ["--order"]) == 0
+    assert cli_dispatch(verify + ["--defects", "0,0,0"]) == 1
+    capsys.readouterr()
+    # the order passes, the budgets do not: both are checked, and it fails
+    assert cli_dispatch(verify + ["--order", "--defects", "0,0,0"]) == 1
+    out = capsys.readouterr().out
+    assert "order conditions pass" in out and "> budget 0" in out
+
+
+@pytest.mark.parametrize("argv", [
+    ["gen", "k4", "-o", "{tmp}/missing/k4.pg"],
+    ["discharge", "{tmp}/k4.pg", "--rules", "rs48", "--json", "{tmp}/missing/x.json"],
+    ["faces", "{tmp}"],
+], ids=["gen-into-missing-dir", "discharge-json-into-missing-dir", "faces-of-a-directory"])
+def test_file_errors_are_usage_errors(tmp_path, capsys, argv):
+    assert cli_dispatch(["gen", "k4", "-o", str(tmp_path / "k4.pg")]) == 0
+    capsys.readouterr()
+    assert cli_dispatch([a.format(tmp=tmp_path) for a in argv]) == 2
+    captured = capsys.readouterr()
+    assert any(line.startswith("error: ") for line in captured.err.splitlines())
+    assert "Traceback" not in captured.out + captured.err
+
+
 # Graphs past the interpreter's default recursion depth (about 1000 frames):
 # both searches must run on an explicit stack.
 

@@ -51,7 +51,7 @@ def test_dodecahedron_8cycles_from_adjacent_pentagons():
     f1 = g.faces[0]
     f2 = next(x for x in g.adjacent_faces(f1) if x.degree == 5)
     shared = next(iter(g.shared_edges(f1, f2)))
-    ring = (f1.edge_set | f2.edge_set) - {shared}
+    ring = {(min(u, v), max(u, v)) for u, v in f1.walk + f2.walk} - {shared}
     assert len(ring) == 8
     # walk the ring to list its vertices, then canonicalize
     adj = {}

@@ -3,7 +3,7 @@ import time
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from dpcharge.catalog import DEFAULT_CATALOG, generate
 from dpcharge.cli import cli_dispatch
@@ -77,12 +77,29 @@ def test_comments_and_blanks_ignored():
     assert g.edge_count == 1
 
 
-def test_header_only_parse_is_linear():
-    # every vertex isolated: one component and one face per vertex
+def test_header_only_file_is_rejected_at_once(tmp_path, capsys):
+    # the header's count allocates nothing: every vertex needs its 'v' line
+    text = "planegraph big\nn 2000000\n"
     start = time.perf_counter()
-    g, _ = parse_rotation_file("planegraph big\nn 100000\n")
+    with pytest.raises(RotationFileError, match="0 'v' lines for n 2000000"):
+        parse_rotation_file(text)
+    assert time.perf_counter() - start < 1
+    path = tmp_path / "big.pg"
+    path.write_text(text)
+    assert cli_dispatch(["faces", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    with pytest.raises(RotationFileError, match="2 'v' lines for n 3"):
+        parse_rotation_file("planegraph x\nn 3\nv 0: 1\nv 1: 0\n")
+
+
+def test_isolated_vertices_parse_in_linear_time():
+    # every vertex isolated: one component and one face per vertex
+    n = 100000
+    text = f"planegraph big\nn {n}\n" + "".join(f"v {v}:\n" for v in range(n))
+    start = time.perf_counter()
+    g, _ = parse_rotation_file(text)
     assert time.perf_counter() - start < 10
-    assert len(g.components) == 100000 and g.face_count == 100000
+    assert len(g.components) == n and g.face_count == n
 
 
 def test_non_ascii_digits_rejected():
@@ -99,19 +116,6 @@ VALID = serialize_rotation_file(generate("figure1"), "figure1")
 TOKENS = st.sampled_from(["planegraph", "n", "v", "x", ":", "0", "1", "2", "7", "8", "12",
                           "-1", "01", "²", "\u0663", "#", " ", "\t", "\n", "\r", "\x0c",
                           "\u2028"])
-MAX_COUNT = 200
-
-
-def _small_count(text: str) -> bool:
-    # A header-only file asks for about 1 KB per vertex it declares, so
-    # "n 99999999" is a memory bomb; that bound is a separate open problem.
-    # The target keeps declared counts small and checks the error types only.
-    for line in text.splitlines():
-        parts = line.split()
-        if len(parts) >= 2 and parts[0] == "n" and parts[1].isascii() and parts[1].isdigit():
-            if int(parts[1]) > MAX_COUNT:
-                return False
-    return True
 
 
 @pytest.fixture(scope="module")
@@ -120,7 +124,6 @@ def fuzz_file(tmp_path_factory):
 
 
 def _parse_and_run_faces(text: str, path) -> None:
-    assume(_small_count(text))
     try:
         parse_rotation_file(text)
         parsed = True
