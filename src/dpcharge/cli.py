@@ -234,7 +234,13 @@ def _make_cover(args, g: PlaneGraph) -> Cover:
         raise CliError(f"cannot read cover: {exc}")
 
 
+def _check_limit(limit: int) -> None:
+    if limit < 1:
+        raise CliError(f"--limit must be at least 1, got {limit}")
+
+
 def _cmd_solve(args) -> int:
+    _check_limit(args.limit)
     g, name = _load(args.file)
     cover = _make_cover(args, g)
     problems = validate_cover(cover)
@@ -357,6 +363,7 @@ def _parse_seed_range(spec: str) -> range:
 
 
 def _cmd_hunt(args) -> int:
+    _check_limit(args.limit)
     names = list(args.graphs) or list(DEFAULT_CATALOG)
     graphs: list[tuple[str, PlaneGraph]] = []
     for name in names:

@@ -109,21 +109,23 @@ def hunt(profile: Profile, k: int, seeds: range | list[int],
         outcome = find_ba(cover, node_limit=node_limit)
         return name, seed, cover, outcome
 
+    def fold(results) -> None:
+        # each job is folded in as it finishes, so no cover outlives its job
+        for name, seed, cover, outcome in results:
+            if outcome.status is SearchStatus.FOUND:
+                report.found += 1
+            elif outcome.status is SearchStatus.EXHAUSTED:
+                report.exhausted.append((name, seed))
+            else:
+                doc = cover_to_json(cover)
+                replay = replay_cover(doc, node_limit=node_limit)
+                report.candidates.append(HuntCandidate(
+                    graph_name=name, seed=seed, cover_json=doc,
+                    replay_verdict=replay.status.value))
+
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(run, jobs))
+            fold(pool.map(run, jobs))
     else:
-        results = [run(job) for job in jobs]
-
-    for name, seed, cover, outcome in results:
-        if outcome.status is SearchStatus.FOUND:
-            report.found += 1
-        elif outcome.status is SearchStatus.EXHAUSTED:
-            report.exhausted.append((name, seed))
-        else:
-            doc = cover_to_json(cover)
-            replay = replay_cover(doc, node_limit=node_limit)
-            report.candidates.append(HuntCandidate(
-                graph_name=name, seed=seed, cover_json=doc,
-                replay_verdict=replay.status.value))
+        fold(map(run, jobs))
     return report

@@ -20,6 +20,8 @@ node may have, and how many make a placed node block its unplaced
 neighbors.  The defective search keeps a fixed vertex order and the B_A
 search its fewest-colors-first order, so the pruning never changes which
 solution is found first; a node expanded is one feasible placement.
+A dead set of placed nodes that the B_A search reaches again is charged
+the nodes its first walk took instead of being walked again.
 """
 
 from __future__ import annotations
@@ -131,13 +133,19 @@ def _search(cover: Cover, lim: Sequence[int], sat: Sequence[int],
     nodes (ties by id): vertices are bucketed by list length, so the
     first candidate is the lowest id of the lowest non-empty bucket, and
     the full candidate order is built only when that candidate's nodes
-    all fail.  Dead prefixes are then memoized by their placed node set
-    when the graph has at most 20 vertices: feasibility of any extension
-    depends only on that set, not on the order that reached it.
+    all fail.
+
+    Below a prefix, the lists, saturations and candidate order depend
+    only on its placed set.  The dynamic search stores each dead set with
+    the placements below it and charges them when another order reaches
+    the set (past node_limit: exhausted at node_limit + 1), so status,
+    order and count are the plain walk's.  Keys are built only after a
+    failure, and the memo holds no more node ids than have been counted.
+    Up to 20 vertices every dead set is kept and a repeat is free.
     """
     n = cover.graph.vertex_count
     dynamic = fixed is None
-    memo_on = dynamic and n <= 20
+    charge = n > 20
     vert, _, own, _, adj = cover.node_graph
     at = [-1] * n  # placed node of each vertex, -1 while unplaced
     cnt = [0] * len(vert)  # placed neighbors of each node
@@ -153,7 +161,8 @@ def _search(cover: Cover, lim: Sequence[int], sat: Sequence[int],
     zero = len(heaps[0])  # unplaced vertices without a feasible node
     order: list[int] = []
     logs: list[list[tuple[int, list[int]]]] = []  # per placement: (vertex, old list)
-    failed: set[frozenset[int]] = set()
+    failed: dict[frozenset[int], int] = {}  # dead placed set -> placements below it
+    held = 0  # node ids in the keys of failed
     expanded = 0
 
     def first_candidate() -> int:
@@ -174,14 +183,14 @@ def _search(cover: Cover, lim: Sequence[int], sat: Sequence[int],
     # The open search nodes on the current path, one per placement: the
     # feasible nodes of the candidate being tried, the index of the next
     # one, the candidates after the first (None until needed), the index
-    # of the next one, and the memo key.  The top node lives in the
-    # locals below; the others are on the stack.
+    # of the next one, and the count when it was entered.  The top node
+    # lives in the locals below; the others are on the stack.
     stack: list[tuple] = []
     nodes: list[int] = []
     j = 0
     rest: list[int] | None = None
     pos = 0
-    key: frozenset[int] | None = None
+    start = 0
     entering = True  # a placement was just made, or the search starts
     while True:
         if entering:
@@ -189,17 +198,21 @@ def _search(cover: Cover, lim: Sequence[int], sat: Sequence[int],
             if len(order) == n:
                 status = SearchStatus.FOUND
                 break
-            child_key = frozenset(order) if memo_on else None
-            dead = memo_on and child_key in failed
-            if not dead and zero:
-                dead = True
-                if memo_on:
-                    failed.add(child_key)
+            dead = zero > 0
+            if not dead and failed:
+                size = failed.get(frozenset(order))
+                dead = size is not None
+                if dead and charge:
+                    expanded += size
+                    if expanded > node_limit:
+                        expanded = node_limit + 1
+                        status = SearchStatus.EXHAUSTED
+                        break
             if not dead:
                 if order:
-                    stack.append((nodes, j, rest, pos, key))
+                    stack.append((nodes, j, rest, pos, start))
                 u = first_candidate() if dynamic else fixed[len(order)]
-                nodes, j, rest, pos, key = cols[u], 0, None, 0, child_key
+                nodes, j, rest, pos, start = cols[u], 0, None, 0, expanded
                 continue
             if not order:
                 status = SearchStatus.NONE
@@ -250,12 +263,13 @@ def _search(cover: Cover, lim: Sequence[int], sat: Sequence[int],
                 pos += 1
                 continue
             # every candidate failed
-            if memo_on:
-                failed.add(key)
             if not stack:
                 status = SearchStatus.NONE
                 break
-            nodes, j, rest, pos, key = stack.pop()
+            if dynamic and (not charge or held + len(order) <= expanded):
+                failed[frozenset(order)] = expanded - start
+                held += len(order)
+            nodes, j, rest, pos, start = stack.pop()
         # undo the last placement
         for u, old in reversed(logs.pop()):
             if not cols[u]:

@@ -148,6 +148,20 @@ def test_hunt_empty_seed_range_is_usage_error(seeds, capsys):
     assert "empty seed range" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("limit", ["0", "-5"])
+@pytest.mark.parametrize("command", ["solve", "hunt"])
+def test_limit_below_one_is_usage_error(command, limit, tmp_path, capsys):
+    g_path = tmp_path / "k4.pg"
+    assert cli_dispatch(["gen", "k4", "-o", str(g_path)]) == 0
+    args = (["solve", str(g_path), "--mode", "ba"] if command == "solve"
+            else ["hunt", "cycle:5", "--profile", "no46"])
+    capsys.readouterr()
+    assert cli_dispatch(args + ["--limit", limit]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: --limit must be at least 1, got {limit}\n"
+    assert captured.out == ""
+
+
 def _solved_transversal(tmp_path, graph_name):
     g_path = tmp_path / "solved.pg"
     t_path = tmp_path / "t.json"

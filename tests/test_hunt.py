@@ -1,3 +1,5 @@
+import tracemalloc
+
 from dpcharge.catalog import generate
 from dpcharge.cover import cover_to_json
 from dpcharge.hunt import hunt, replay_cover
@@ -46,3 +48,18 @@ def test_hunt_threaded_matches_sequential():
     seq = hunt(Profile.NO46, 3, range(8), graphs, threads=1)
     par = hunt(Profile.NO46, 3, range(8), graphs, threads=4)
     assert seq.to_json() == par.to_json()
+
+
+def test_hunt_memory_does_not_grow_with_seeds():
+    # each cover is dropped once its job is folded into the report
+    graphs = [("cycle:60", generate("cycle:60"))]
+    peaks = []
+    for seeds in (range(2), range(200)):
+        tracemalloc.start()
+        try:
+            report = hunt(Profile.NO48, 3, seeds, graphs)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert report.found == len(seeds)
+    assert peaks[1] <= 2 * peaks[0]
