@@ -18,7 +18,7 @@ from functools import cached_property
 from itertools import chain, combinations, permutations
 from math import comb, factorial
 from random import Random
-from typing import Iterator, Mapping, Sequence
+from typing import Callable, Iterator, Mapping, Sequence
 
 from .planegraph import PlaneGraph
 from .reporting import dump_json
@@ -46,20 +46,26 @@ class Cover:
         holds v's ids, ids inverts the numbering, and adj[i] lists i's
         neighbors by base vertex, then by position in the matching.  Only
         keys (u, v) with u < v on a base edge, between listed colors, count."""
-        vert, color, own = [], [], []
+        vert, color, own, by_color = [], [], [], []
         for v in self.graph.vertices():
-            own.append(range(len(vert), len(vert) + len(self.lists[v])))
-            vert.extend([v] * len(self.lists[v]))
-            color.extend(self.lists[v])
-        ids = {x: i for i, x in enumerate(zip(vert, color))}
+            lst = self.lists[v]
+            own.append(range(len(vert), len(vert) + len(lst)))
+            by_color.append(dict(zip(lst, own[-1])))  # color -> id at v
+            vert.extend([v] * len(lst))
+            color.extend(lst)
+        ids = dict(zip(zip(vert, color), range(len(vert))))
+        edges = self.graph.edges
         adj: list[list[int]] = [[] for _ in vert]
         for (u, v), pairs in sorted(self.matchings.items()):
-            if u < v and self.graph.has_edge(u, v):
+            if u < v and (u, v) in edges:
+                at_u, at_v = by_color[u], by_color[v]
                 for a, b in pairs:
-                    p, q = ids.get((u, a)), ids.get((v, b))
-                    if p is not None and q is not None:
-                        adj[p].append(q)
-                        adj[q].append(p)
+                    try:
+                        p, q = at_u[a], at_v[b]
+                    except KeyError:  # an unlisted color: not a cover edge
+                        continue
+                    adj[p].append(q)
+                    adj[q].append(p)
         return tuple(vert), tuple(color), tuple(own), ids, tuple(map(tuple, adj))
 
     def neighbors_in_cover(self, node: Node) -> list[Node]:
@@ -82,16 +88,12 @@ def identity_cover(graph: PlaneGraph, k: int) -> Cover:
                  (("kind", "identity"),))
 
 
-def _rand_below(rng: Random, n: int) -> int:
-    return rng.randrange(n) if n > 1 else 0
-
-
-def _seeded_permutation(rng: Random, items: Sequence[int]) -> list[int]:
-    # Fisher-Yates driven only by randrange, so the output is stable
-    # across Python versions for a fixed seed.
+def _seeded_permutation(randrange: Callable[[int], int], items: Sequence[int]) -> list[int]:
+    # Fisher-Yates driven only by randrange (a bound Random.randrange), so
+    # the output is stable across Python versions for a fixed seed.
     out = list(items)
     for i in range(len(out) - 1, 0, -1):
-        j = rng.randrange(i + 1)
+        j = randrange(i + 1)
         out[i], out[j] = out[j], out[i]
     return out
 
@@ -113,29 +115,27 @@ def random_cover(graph: PlaneGraph, k: int, seed: int, full: bool) -> Cover:
     """
     if k < 1:
         raise ValueError("k must be positive")
-    rng = Random(seed)
+    randrange = Random(seed).randrange
     colors = list(range(1, k + 1))
     weights = _matching_size_weights(k)
     total = sum(weights)
     matchings: dict[tuple[int, int], tuple[Pair, ...]] = {}
     for e in sorted(graph.edges):
         if full:
-            perm = _seeded_permutation(rng, colors)
-            pairs = tuple((colors[i], perm[i]) for i in range(k))
-        else:
-            # size j with probability C(k,j)^2 j! / total, then uniform
-            # j-subsets on both sides and a uniform bijection
-            r = _rand_below(rng, total)
-            j = 0
-            while r >= weights[j]:
-                r -= weights[j]
-                j += 1
-            left = sorted(_seeded_permutation(rng, colors)[:j])
-            right = sorted(_seeded_permutation(rng, colors)[:j])
-            perm = _seeded_permutation(rng, right)
-            pairs = tuple(sorted((left[i], perm[i]) for i in range(j)))
-        matchings[e] = pairs
-    return Cover(graph, k, tuple(tuple(colors) for _ in graph.vertices()), matchings,
+            matchings[e] = tuple(zip(colors, _seeded_permutation(randrange, colors)))
+            continue
+        # size j with probability C(k,j)^2 j! / total, then uniform
+        # j-subsets on both sides and a uniform bijection
+        r = randrange(total) if total > 1 else 0
+        j = 0
+        while r >= weights[j]:
+            r -= weights[j]
+            j += 1
+        left = sorted(_seeded_permutation(randrange, colors)[:j])
+        right = sorted(_seeded_permutation(randrange, colors)[:j])
+        perm = _seeded_permutation(randrange, right)
+        matchings[e] = tuple(sorted(zip(left, perm)))
+    return Cover(graph, k, (tuple(colors),) * graph.vertex_count, matchings,
                  (("kind", "random"), ("seed", seed), ("full", full)))
 
 
@@ -179,8 +179,9 @@ class CoverValidation:
 
 
 def validate_cover(cover: Cover) -> CoverValidation:
-    """Check the cover conditions and u < v on each key; violations name the edge."""
-    problems: list[str] = []
+    """Check k >= 1, the cover conditions and u < v on each key;
+    violations name the edge."""
+    problems: list[str] = [] if cover.k >= 1 else [f"k must be at least 1, got {cover.k}"]
     for (u, v), pairs in sorted(cover.matchings.items()):
         if u > v:
             problems.append(f"edge {u}-{v}: key not canonical, expected {v}-{u}")

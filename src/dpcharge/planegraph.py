@@ -5,6 +5,11 @@ are orbits of the dart successor map: the successor of the dart (u, v) is
 (v, w) where w immediately follows u in the cyclic rotation at v.  Every
 dart lies on exactly one face, so face degrees sum to 2|E| and a cut edge
 contributes both of its darts to the same face.
+
+The trace runs on flat integer arrays: dart offsets[u] + i is
+(u, rotations[u][i]), with its successor and its face id in two lists.
+The tuple-keyed tables (face walks, the dart-to-face map and the corners
+at each vertex) are built from those arrays on first use.
 """
 
 from __future__ import annotations
@@ -12,6 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
+from itertools import accumulate, chain
 from typing import Mapping, Sequence
 
 
@@ -67,34 +73,63 @@ class PlaneGraph:
     """Immutable embedded graph.  All queries are pure; safe to share.
 
     Build through :func:`build_plane_graph`, which validates the rotation
-    system and traces faces.
+    system and traces faces on flat dart arrays.  The tuple-keyed tables
+    (faces with their walks, the dart-to-face map, the corners) are built
+    from those arrays on first use, so commands that never read faces
+    never build them.
     """
 
-    def __init__(self, rotations: tuple[tuple[int, ...], ...], faces: tuple[Face, ...],
-                 components: tuple[frozenset[int], ...], face_of_dart: dict[Dart, int]):
+    def __init__(self, rotations: tuple[tuple[int, ...], ...],
+                 components: tuple[frozenset[int], ...], offsets: list[int],
+                 succ: list[int], dart_face: list[int], starts: list[int]):
         self.rotations = rotations
-        self.faces = faces
         self.components = components
         self.vertex_count = len(rotations)
         self.edges: frozenset[tuple[int, int]] = frozenset(
-            (min(u, v), max(u, v)) for u in range(self.vertex_count) for v in rotations[u]
-        )
+            (u, v) for u, rot in enumerate(rotations) for v in rot if u < v)
         self.edge_count = len(self.edges)
-        self.adjacency: tuple[frozenset[int], ...] = tuple(frozenset(r) for r in rotations)
-        self.degrees: tuple[int, ...] = tuple(len(r) for r in rotations)
-        self._face_of_dart = face_of_dart
-        # faces at each vertex, one entry per corner (multiplicity preserved)
-        self._corner_faces = tuple(tuple(sorted(face_of_dart[(u, v)] for v in rot))
-                                   for u, rot in enumerate(rotations))
-        self._adjacent: tuple[tuple[Face, ...], ...] | None = None  # built on first use
+        self.face_count = len(starts) + rotations.count(())
+        self.adjacency: tuple[frozenset[int], ...] = tuple(map(frozenset, rotations))
+        self.degrees: tuple[int, ...] = tuple(map(len, rotations))
+        # dart offsets[u] + i is (u, rotations[u][i]); succ[d] is the next
+        # dart on its face, dart_face[d] its face id, and starts[f] the
+        # least dart of face f (faces with a walk only)
+        self._offsets = offsets
+        self._succ = succ
+        self._dart_face = dart_face
+        self._starts = starts
         self._hypotheses: dict = {}  # Profile -> HypothesisReport, see check_profile
         self._classification = None  # VertexClassification, see classify_vertices
 
-    # -- basic queries -------------------------------------------------
+    @cached_property
+    def _darts(self) -> list[Dart]:
+        return [(u, v) for u, rot in enumerate(self.rotations) for v in rot]
 
-    @property
-    def face_count(self) -> int:
-        return len(self.faces)
+    @cached_property
+    def faces(self) -> tuple[Face, ...]:
+        """Faces by id; each walk follows succ from the face's least dart."""
+        darts, succ = self._darts, self._succ
+        faces = []
+        for fid, start in enumerate(self._starts):
+            walk, d = [darts[start]], succ[start]
+            while d != start:
+                walk.append(darts[d])
+                d = succ[d]
+            faces.append(Face(fid, tuple(walk)))
+        faces += [Face(fid, ()) for fid in range(len(faces), self.face_count)]
+        return tuple(faces)
+
+    @cached_property
+    def _face_of_dart(self) -> dict[Dart, int]:
+        return dict(zip(self._darts, self._dart_face))
+
+    @cached_property
+    def _corner_faces(self) -> tuple[tuple[int, ...], ...]:
+        # faces at each vertex, one entry per corner (multiplicity preserved)
+        df, off = self._dart_face, self._offsets
+        return tuple(tuple(sorted(df[off[u]:off[u + 1]])) for u in range(self.vertex_count))
+
+    # -- basic queries -------------------------------------------------
 
     @property
     def is_connected(self) -> bool:
@@ -162,12 +197,13 @@ class PlaneGraph:
         The face across the dart (u, v) is the face of (v, u), so the
         whole dual adjacency is one pass over the darts, done once.
         """
-        if self._adjacent is None:
-            fod = self._face_of_dart
-            self._adjacent = tuple(
-                tuple(self.faces[i] for i in sorted({fod[(v, u)] for u, v in h.walk} - {h.id}))
-                for h in self.faces)
         return self._adjacent[f.id]
+
+    @cached_property
+    def _adjacent(self) -> tuple[tuple[Face, ...], ...]:
+        fod, faces = self._face_of_dart, self.faces
+        return tuple(tuple(faces[i] for i in sorted({fod[(v, u)] for u, v in h.walk} - {h.id}))
+                     for h in faces)
 
     def __repr__(self) -> str:
         return (f"PlaneGraph(V={self.vertex_count}, E={self.edge_count}, "
@@ -194,6 +230,28 @@ def _components(rotations: Sequence[Sequence[int]]) -> list[frozenset[int]]:
     return comps
 
 
+def _first_defect(rot_list: list[tuple[int, ...]]) -> str:
+    """The message for the first defect of a rotation system that is not
+    a symmetric, loop-free simple graph: vertex by vertex, a neighbor out
+    of range, a loop or a repeated neighbor; then, in dart order, the
+    first dart whose reverse is missing."""
+    n = len(rot_list)
+    for v, rot in enumerate(rot_list):
+        for w in rot:
+            if not 0 <= w < n:
+                return f"vertex {v}: neighbor {w} out of range"
+        if v in rot:
+            return f"loop at vertex {v}"
+        if len(set(rot)) != len(rot):
+            return f"repeated neighbor in rotation of vertex {v}"
+    nbrs = [set(rot) for rot in rot_list]
+    for v, rot in enumerate(rot_list):
+        for w in rot:
+            if v not in nbrs[w]:
+                return f"asymmetric rotation: {w} lists no edge back to {v}"
+    raise AssertionError("no defect found")
+
+
 def build_plane_graph(rotations: Mapping[int, Sequence[int]] | Sequence[Sequence[int]]) -> PlaneGraph:
     """Validate a rotation system and trace its faces.
 
@@ -203,10 +261,11 @@ def build_plane_graph(rotations: Mapping[int, Sequence[int]] | Sequence[Sequence
     Disconnected input is accepted; the result is flagged through
     ``is_connected``.
 
-    Darts are traced in lexicographic order, so each face is met first at
-    its least dart: its walk starts there, and faces are numbered by
-    their least darts.  An isolated vertex bounds one face with an empty
-    walk; these come last, by vertex.
+    Darts are numbered vertex by vertex in rotation order and traced in
+    lexicographic order, so each face is met first at its least dart:
+    its walk starts there, and faces are numbered by their least darts.
+    An isolated vertex bounds one face with an empty walk; these come
+    last, by vertex.
     """
     if isinstance(rotations, Mapping):
         n = len(rotations)
@@ -217,48 +276,44 @@ def build_plane_graph(rotations: Mapping[int, Sequence[int]] | Sequence[Sequence
         rot_list = [tuple(r) for r in rotations]
         n = len(rot_list)
 
-    # position of each neighbor in the rotation at v, for the checks and the trace
-    pos: list[dict[int, int]] = []
-    for v, rot in enumerate(rot_list):
-        for w in rot:
-            if not (0 <= w < n):
-                raise EmbeddingError(f"vertex {v}: neighbor {w} out of range")
-        index = {w: i for i, w in enumerate(rot)}
-        if v in index:
-            raise EmbeddingError(f"loop at vertex {v}")
-        if len(index) != len(rot):
-            raise EmbeddingError(f"repeated neighbor in rotation of vertex {v}")
-        pos.append(index)
-    for v, rot in enumerate(rot_list):
-        for w in rot:
-            if v not in pos[w]:
-                raise EmbeddingError(f"asymmetric rotation: {w} lists no edge back to {v}")
+    # The successor of the dart (u, v) is (v, w), w following u at v, so
+    # nxt[v] maps each neighbor u of v to the number of the dart after (u, v)
+    offsets = [0, *accumulate(map(len, rot_list))]
+    nxt = [dict(zip(rot, [*range(b + 1, e), b]))
+           for rot, b, e in zip(rot_list, offsets, offsets[1:])]
+    heads = list(chain.from_iterable(rot_list))
+    if ((heads and (min(heads) < 0 or max(heads) >= n))
+            or any(map(dict.__contains__, nxt, range(n)))  # a loop
+            or sum(map(len, nxt)) != len(heads)):  # a repeated neighbor
+        raise EmbeddingError(_first_defect(rot_list))
+    try:
+        succ = [nxt[v][u] for u, rot in enumerate(rot_list) for v in rot]
+    except KeyError:
+        raise EmbeddingError(_first_defect(rot_list)) from None
+    del nxt, heads  # lowers the peak: the trace's arrays are built next
 
-    # The successor of the dart (u, v) is (v, w), w following u at v.  It
-    # is a permutation: the predecessor in the rotation gives its inverse.
-    face_of_dart: dict[Dart, int] = {}
-    walks: list[tuple[Dart, ...]] = []
-    for u, rot_u in enumerate(rot_list):
-        for v in sorted(rot_u):
-            if (u, v) in face_of_dart:
-                continue
-            fid, walk, dart = len(walks), [], (u, v)
-            while dart not in face_of_dart:
-                face_of_dart[dart] = fid
-                walk.append(dart)
-                a, b = dart
-                rot = rot_list[b]
-                dart = (b, rot[(pos[b][a] + 1) % len(rot)])
-            walks.append(tuple(walk))
-    del pos  # lowers the peak: the graph's own tables are built next
-    faces = tuple(Face(i, w) for i, w in enumerate(walks + [()] * rot_list.count(())))
+    # succ is a permutation, so each orbit closes at the dart it left from;
+    # a vertex whose darts all lie on faces met earlier is skipped
+    dart_face = [-1] * len(succ)
+    starts: list[int] = []
+    for u, rot in enumerate(rot_list):
+        b, e = offsets[u], offsets[u + 1]
+        if -1 not in dart_face[b:e]:
+            continue
+        for _, d in sorted(zip(rot, range(b, e))):
+            if dart_face[d] < 0:
+                fid = len(starts)
+                starts.append(d)
+                while dart_face[d] < 0:
+                    dart_face[d] = fid
+                    d = succ[d]
     comps = _components(rot_list)
 
     # V - E + F = 2 - 2g <= 2 on each component, so the sum is twice the
     # number of components exactly when every component is a sphere
-    e, f = len(face_of_dart) // 2, len(faces)
+    e, f = len(succ) // 2, len(starts) + rot_list.count(())
     if n - e + f != 2 * len(comps):
         raise EmbeddingError(
             f"Euler formula violated: V-E+F = {n}-{e}+{f} = {n - e + f} != "
             f"{2 * len(comps)} = 2 x {len(comps)} components (not a plane embedding)")
-    return PlaneGraph(tuple(rot_list), faces, tuple(comps), face_of_dart)
+    return PlaneGraph(tuple(rot_list), tuple(comps), offsets, succ, dart_face, starts)

@@ -31,6 +31,27 @@ def _is_number(token: str) -> bool:
     return token.isascii() and token.isdigit()
 
 
+def _neighbors(line_no: int, tail: str, count: int) -> tuple[int, ...]:
+    """The neighbor tokens of one 'v' line.  A line of ASCII digit tokens
+    in range is converted at once; otherwise the tokens are checked one by
+    one, so the error names the first bad one."""
+    tokens = tail.split()
+    if tail.isascii() and "".join(tokens).isdigit():
+        try:
+            nbrs = tuple(map(int, tokens))
+        except ValueError:  # a token past int()'s digit limit: the loop raises in order
+            pass
+        else:
+            if max(nbrs) < count:
+                return nbrs
+    for token in tokens:
+        if not _is_number(token):
+            raise RotationFileError(line_no, f"bad neighbor token {token!r}")
+        if int(token) >= count:
+            raise RotationFileError(line_no, f"neighbor {int(token)} out of range 0..{count - 1}")
+    return tuple(map(int, tokens))
+
+
 def parse_rotation_file(text: str) -> tuple[PlaneGraph, str]:
     """Parse the grammar above; returns (graph, name)."""
     name: str | None = None
@@ -63,15 +84,7 @@ def parse_rotation_file(text: str) -> tuple[PlaneGraph, str]:
             raise RotationFileError(line_no, f"vertex id {v} out of range 0..{count - 1}")
         if v in rotations:
             raise RotationFileError(line_no, f"duplicate rotation for vertex {v}")
-        nbrs = []
-        for token in tail.split():
-            if not _is_number(token):
-                raise RotationFileError(line_no, f"bad neighbor token {token!r}")
-            w = int(token)
-            if w >= count:
-                raise RotationFileError(line_no, f"neighbor {w} out of range 0..{count - 1}")
-            nbrs.append(w)
-        rotations[v] = tuple(nbrs)
+        rotations[v] = _neighbors(line_no, tail, count)
     if name is None:
         raise RotationFileError(None, "missing 'planegraph <name>' header")
     if count is None:
@@ -80,7 +93,7 @@ def parse_rotation_file(text: str) -> tuple[PlaneGraph, str]:
         raise RotationFileError(None, f"{len(rotations)} 'v' lines for n {count}: "
                                       f"every vertex 0..{count - 1} needs one")
     try:
-        return build_plane_graph(rotations), name
+        return build_plane_graph([rotations[v] for v in range(count)]), name
     except EmbeddingError as exc:
         raise RotationFileError(None, str(exc)) from exc
 
@@ -89,7 +102,7 @@ def serialize_rotation_file(graph: PlaneGraph, name: str = "graph") -> str:
     """Canonical text: header, count, one 'v' line per vertex, ascending."""
     lines = [f"planegraph {name}", f"n {graph.vertex_count}"]
     for v in graph.vertices():
-        nbrs = " ".join(str(w) for w in graph.rotations[v])
+        nbrs = " ".join(map(str, graph.rotations[v]))
         lines.append(f"v {v}: {nbrs}".rstrip())
     return "\n".join(lines) + "\n"
 

@@ -154,8 +154,11 @@ def _search(cover: Cover, lim: Sequence[int], sat: Sequence[int],
     top = max((len(r) for r in own), default=0)
     # buckets by list length, as heaps of vertex ids; an entry is live while
     # its vertex is unplaced with a list of that length, and stale entries
-    # are dropped when they reach the top
+    # are dropped when they reach the top.  A heap that reaches cap entries
+    # is replaced by its distinct entries, sorted (a sorted list is a heap),
+    # so no heap outgrows cap however often the search backtracks
     heaps: list[list[int]] = [[] for _ in range(top + 1)]
+    cap = 2 * n + 16
     for v in range(n):
         heaps[len(cols[v])].append(v)
     zero = len(heaps[0])  # unplaced vertices without a feasible node
@@ -251,7 +254,10 @@ def _search(cover: Cover, lim: Sequence[int], sat: Sequence[int],
                     if not new:
                         zero += 1
                     elif dynamic:
-                        heappush(heaps[len(new)], u)
+                        h = heaps[len(new)]
+                        if len(h) >= cap:
+                            h[:] = sorted(set(h))
+                        heappush(h, u)
             logs.append(log)
             entering = True
             continue
@@ -276,7 +282,10 @@ def _search(cover: Cover, lim: Sequence[int], sat: Sequence[int],
                 zero -= 1
             cols[u] = old
             if dynamic:
-                heappush(heaps[len(old)], u)
+                h = heaps[len(old)]
+                if len(h) >= cap:
+                    h[:] = sorted(set(h))
+                heappush(h, u)
         p = order.pop()
         v = vert[p]
         at[v] = -1
@@ -289,7 +298,10 @@ def _search(cover: Cover, lim: Sequence[int], sat: Sequence[int],
             for y in adj[p]:
                 blk[y] -= 1
         if dynamic:
-            heappush(heaps[len(cols[v])], v)
+            h = heaps[len(cols[v])]
+            if len(h) >= cap:
+                h[:] = sorted(set(h))
+            heappush(h, v)
     return status, order, expanded
 
 
@@ -354,27 +366,30 @@ def verify_ba(cover: Cover, ot: OrderedTransversal) -> BAReport:
     For the node at position p with color c: c = 1 requires no neighbor
     among positions < p; otherwise at most one such neighbor w, and w
     must have at most one neighbor among positions < p.  The violation
-    reported is the first one in order.
+    reported is the first one in order.  Reads only the node ids of
+    cover.node_graph, so it shares no state with the search.
     """
     _check_transversal(cover, ot.assignment)
-    placed: set[Node] = set()
+    vert, color, _, ids, adj = cover.node_graph
+    placed = [False] * len(vert)
+    is_placed = placed.__getitem__
     for p, node in enumerate(ot.order):
-        c = node[1]
-        lefts = [w for w in cover.neighbors_in_cover(node) if w in placed]
-        if c == 1 and lefts:
-            return BAReport(False, BAViolation(
-                1, node, p, f"color-1 node {node} has left neighbor {lefts[0]}"))
-        if c != 1 and len(lefts) > 1:
-            return BAReport(False, BAViolation(
-                2, node, p, f"node {node} has {len(lefts)} left neighbors"))
-        if c != 1 and lefts:
+        x = ids[node]
+        lefts = list(filter(is_placed, adj[x]))
+        if lefts:
             w = lefts[0]
-            load = sum(1 for x in cover.neighbors_in_cover(w) if x in placed)
+            if node[1] == 1:
+                return BAReport(False, BAViolation(
+                    1, node, p, f"color-1 node {node} has left neighbor {(vert[w], color[w])}"))
+            if len(lefts) > 1:
+                return BAReport(False, BAViolation(
+                    2, node, p, f"node {node} has {len(lefts)} left neighbors"))
+            load = sum(map(is_placed, adj[w]))
             if load > 1:
                 return BAReport(False, BAViolation(
-                    2, node, p,
-                    f"left neighbor {w} of {node} is adjacent to {load} nodes left of it"))
-        placed.add(node)
+                    2, node, p, f"left neighbor {(vert[w], color[w])} of {node} is "
+                                f"adjacent to {load} nodes left of it"))
+        placed[x] = True
     return BAReport(True, None)
 
 

@@ -223,6 +223,22 @@ def test_verify_invalid_cover_is_usage_error(tmp_path, capsys, edit, violation):
     assert "invalid cover" in err and violation in err
 
 
+@pytest.mark.parametrize("k", [0, -1])
+@pytest.mark.parametrize("flag", [["--order"], ["--defects", "0,2,2"]], ids=["order", "defects"])
+def test_verify_rejects_k_below_one(tmp_path, capsys, k, flag):
+    # the lists still hold k4's three colours, so only k itself is wrong
+    t_path = _solved_transversal(tmp_path, "k4")
+    doc = json.loads(t_path.read_text())
+    doc["cover"]["k"] = k
+    t_path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    code = cli_dispatch(["verify", str(tmp_path / "solved.pg"), "--transversal", str(t_path)]
+                        + flag)
+    captured = capsys.readouterr()
+    assert code == 2 and not captured.out
+    assert captured.err == f"error: invalid cover: k must be at least 1, got {k}\n"
+
+
 def _defect_budgets_not_a_list(doc):
     del doc["order"]
     doc["defects"] = 5

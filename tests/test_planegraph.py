@@ -118,3 +118,44 @@ def test_incident_faces_corner_multiplicity():
     g = build_plane_graph({0: [1], 1: [0, 2], 2: [1]})
     assert g.face_count == 1
     assert g.incident_faces(1) == (0, 0)
+
+
+@pytest.mark.parametrize("rotations,message", [
+    ([(5,), ()], "vertex 0: neighbor 5 out of range"),
+    ([(1, -1), (0,)], "vertex 0: neighbor -1 out of range"),
+    # the first vertex with a defect is named, whatever the defect
+    ([(0, 1), (0, 7)], "loop at vertex 0"),
+    ([(1,), (0, 0, 2), (1,)], "repeated neighbor in rotation of vertex 1"),
+    ([(1,), (0, 9)], "vertex 1: neighbor 9 out of range"),
+    ([(1, 2), (0,), ()], "asymmetric rotation: 2 lists no edge back to 0"),
+    ([(1,), (0, 2), (0,)], "asymmetric rotation: 2 lists no edge back to 1"),
+    ([(1, 2, 3), (0, 2, 3), (0, 1, 3), (0, 1, 2)],
+     "Euler formula violated: V-E+F = 4-6+2 = 0 != 2 = 2 x 1 components "
+     "(not a plane embedding)"),
+], ids=["out-of-range", "negative", "loop-first", "repeated", "range-at-second-vertex",
+        "missing-reverse", "missing-reverse-later", "torus"])
+def test_rejection_messages(rotations, message):
+    with pytest.raises(EmbeddingError) as info:
+        build_plane_graph(rotations)
+    assert str(info.value) == message
+
+
+def test_face_tables_are_built_on_first_use(catalog):
+    # parse, hypothesis check and B_A search (what hunt and solve run)
+    # never read faces, so they never build the tuple-keyed tables
+    from dpcharge.cover import random_cover
+    from dpcharge.rotfile import parse_rotation_file, serialize_rotation_file
+    from dpcharge.solver import find_ba
+    from dpcharge.structure import Profile, check_profile
+
+    lazy = ("faces", "_face_of_dart", "_corner_faces", "_darts")
+    for name, built in catalog.items():
+        g, _ = parse_rotation_file(serialize_rotation_file(built, name))
+        for profile in Profile:
+            check_profile(g, profile)
+        find_ba(random_cover(g, 3, 0, full=True))
+        assert not set(lazy) & g.__dict__.keys(), name
+        assert g.face_count == len(g.faces)
+        assert g.incident_faces(0) == built.incident_faces(0)
+        assert g.face_of_dart(0, g.rotations[0][0]) == built.face_of_dart(0, g.rotations[0][0])
+        assert set(lazy) <= g.__dict__.keys()

@@ -169,3 +169,32 @@ def test_fuzz_mutations_of_a_valid_file(data, fuzz_file):
         elif op == "insert":
             lines.insert(i, data.draw(st.lists(TOKENS, max_size=8).map(" ".join)))
     _parse_and_run_faces("\n".join(lines) + "\n", fuzz_file)
+
+
+# -- malformed 'v' lines: exact messages ---------------------------------
+
+HEAD = "planegraph x\nn 3\n"
+
+
+@pytest.mark.parametrize("body,message", [
+    ("v 0: ²\n", "line 3: bad neighbor token '²'"),
+    ("v 0: 1 ٣ 2\n", "line 3: bad neighbor token '٣'"),
+    ("v 0: 1 x 9\n", "line 3: bad neighbor token 'x'"),
+    ("v 0: 9 x\n", "line 3: neighbor 9 out of range 0..2"),
+    ("v 0: 007\n", "line 3: neighbor 7 out of range 0..2"),
+    ("v 0: 1 -1\n", "line 3: bad neighbor token '-1'"),
+    ("v 0: 1\nv 1:\nv 2:\n", "asymmetric rotation: 1 lists no edge back to 0"),
+    ("v 0: 1 1\nv 1: 0\nv 2:\n", "repeated neighbor in rotation of vertex 0"),
+    ("v 0: 0 1\nv 1: 0\nv 2:\n", "loop at vertex 0"),
+    ("v 0: 01 2\nv 1: 0\nv 2: 0\n", None),  # leading zeros are still numbers
+], ids=["superscript", "arabic-indic", "first-bad-token", "range-before-token",
+        "leading-zeros-out-of-range", "negative", "empty-rotation", "repeated-neighbor",
+        "loop", "leading-zeros"])
+def test_malformed_rotation_lines(body, message):
+    if message is None:
+        g, _ = parse_rotation_file(HEAD + body)
+        assert g.rotations == ((1, 2), (0,), (0,))
+        return
+    with pytest.raises(RotationFileError) as info:
+        parse_rotation_file(HEAD + body)
+    assert str(info.value) == message

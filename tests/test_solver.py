@@ -1,4 +1,6 @@
+from collections import Counter
 from itertools import permutations
+from random import Random
 
 import pytest
 
@@ -6,7 +8,7 @@ from dpcharge.cover import Cover, identity_cover, random_cover
 from dpcharge.catalog import generate
 from dpcharge.oracle import brute_ba
 from dpcharge.planegraph import build_plane_graph
-from dpcharge.solver import (DefectVector, OrderedTransversal, SearchStatus,
+from dpcharge.solver import (BAReport, BAViolation, DefectVector, OrderedTransversal, SearchStatus,
                              find_ba, find_defective_dp,
                              structure_of_transversal, verify_ba,
                              verify_defective)
@@ -168,3 +170,72 @@ def test_found_ba_always_passes_verifier():
         out = find_ba(c)
         if out.status is SearchStatus.FOUND:
             assert verify_ba(c, out.ordered).passed
+
+
+def reference_verify_ba(cover: Cover, ot: OrderedTransversal) -> BAReport:
+    """verify_ba on (vertex, color) tuples, through neighbors_in_cover."""
+    placed = set()
+    for p, node in enumerate(ot.order):
+        lefts = [w for w in cover.neighbors_in_cover(node) if w in placed]
+        if node[1] == 1 and lefts:
+            return BAReport(False, BAViolation(
+                1, node, p, f"color-1 node {node} has left neighbor {lefts[0]}"))
+        if node[1] != 1 and len(lefts) > 1:
+            return BAReport(False, BAViolation(
+                2, node, p, f"node {node} has {len(lefts)} left neighbors"))
+        if node[1] != 1 and lefts:
+            load = sum(1 for x in cover.neighbors_in_cover(lefts[0]) if x in placed)
+            if load > 1:
+                return BAReport(False, BAViolation(
+                    2, node, p, f"left neighbor {lefts[0]} of {node} is adjacent to "
+                                f"{load} nodes left of it"))
+        placed.add(node)
+    return BAReport(True, None)
+
+
+def _corrupted_orders(cover: Cover, order: tuple, rng: Random):
+    """The order itself, swapped positions, a color-1 node moved after a
+    neighbor, and a node moved in front of its neighbors (so that a third
+    neighbor finds it adjacent to two earlier nodes)."""
+    yield order
+    for _ in range(4):
+        i, j = rng.randrange(len(order)), rng.randrange(len(order))
+        swapped = list(order)
+        swapped[i], swapped[j] = swapped[j], swapped[i]
+        yield tuple(swapped)
+    chosen = set(order)
+    for x in order:
+        nbrs = [w for w in cover.neighbors_in_cover(x) if w in chosen]
+        rest = [y for y in order if y != x and y not in nbrs]
+        if x[1] == 1 and nbrs:
+            yield tuple(rest + nbrs + [x])
+        if len(nbrs) >= 2:
+            yield tuple([x] + nbrs + rest)
+
+
+def _transversals(graph):
+    """(cover, assignment, order): the orders find_ba returns on random
+    covers, and every vertex colored 2 under the identity cover."""
+    for seed in range(4):
+        for cover in (random_cover(graph, 3, seed, full=True), random_cover(graph, 2, seed, False)):
+            out = find_ba(cover)
+            if out.status is SearchStatus.FOUND:
+                yield cover, out.ordered.assignment, out.ordered.order
+    yield (identity_cover(graph, 3), {v: 2 for v in graph.vertices()},
+           tuple((v, 2) for v in graph.vertices()))
+
+
+def test_verify_ba_matches_tuple_reference(catalog):
+    rng = Random(0)
+    kinds = Counter()
+    for g in catalog.values():
+        for cover, t, order in _transversals(g):
+            for corrupted in _corrupted_orders(cover, order, rng):
+                ot = OrderedTransversal(t, corrupted)
+                report = verify_ba(cover, ot)
+                assert report == reference_verify_ba(cover, ot)
+                v = report.violation
+                kinds["pass" if v is None else f"{v.condition}:{v.detail.split()[0]}"] += 1
+    # passes, color-1 nodes with a left neighbor, nodes with two left
+    # neighbors and overloaded left neighbors all occur
+    assert set(kinds) == {"pass", "1:color-1", "2:node", "2:left"}, kinds

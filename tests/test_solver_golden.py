@@ -24,6 +24,7 @@ placed set that the search skips must still be counted, node for node.
 """
 
 import hashlib
+import heapq
 import math
 import time
 import tracemalloc
@@ -33,6 +34,7 @@ import pytest
 
 from dpcharge.catalog import DEFAULT_CATALOG, generate
 from dpcharge.cover import Cover, random_cover
+from dpcharge import solver
 from dpcharge.planegraph import build_plane_graph
 from dpcharge.solver import DefectVector, SearchStatus, find_ba, find_defective_dp
 
@@ -268,3 +270,26 @@ def test_ba_memo_stays_small_on_a_large_gadget():
     assert (out.status, out.nodes_expanded) == (SearchStatus.EXHAUSTED, 200_001)
     assert seconds < 5
     assert peak <= 3_100_000
+
+
+def test_ba_bucket_heaps_stay_bounded(monkeypatch):
+    # Undoing a placement pushes its vertices again.  Before a full heap
+    # dropped its repeats, the heaps grew with the number of backtracks:
+    # to 507-10,823 entries on these 64-vertex covers
+    largest = []
+
+    def recording_push(heap, item):
+        heapq.heappush(heap, item)
+        largest[-1] = max(largest[-1], len(heap))
+
+    monkeypatch.setattr(solver, "heappush", recording_push)
+    statuses = []
+    for seed in (0, 1):
+        g = diagonal_grid(8, seed)
+        bound = 2 * g.vertex_count + 16
+        for cover_seed in GRID_COVER_SEEDS:
+            largest.append(0)
+            statuses.append(find_ba(random_cover(g, 1, cover_seed, False), 50000).status)
+            assert largest[-1] <= bound, (seed, cover_seed)
+    assert statuses.count(SearchStatus.EXHAUSTED) == 4
+    assert max(largest) == bound  # some heap was rebuilt
