@@ -21,8 +21,8 @@ from .discharge import RuleSet, audit, run_rules
 from .hunt import hunt as run_hunt
 from .lemmas import Verdict, check_structural_lemmas, special_vertex_analysis
 from .planegraph import EmbeddingError, PlaneGraph
-from .reporting import (TOOL_VERSION, dump_json, frac_str, input_hash, ledger_to_json,
-                        reducible_to_json)
+from .reporting import (TOOL_VERSION, dump_json, frac_str, frac_texts, input_hash,
+                        ledger_to_json, reducible_to_json)
 from .rotfile import RotationFileError, load_rotation_file, serialize_rotation_file
 from .solver import (DefectVector, OrderedTransversal, SearchStatus, find_ba,
                      find_defective_dp, verify_ba, verify_defective)
@@ -32,6 +32,10 @@ EXIT_OK = 0
 EXIT_VIOLATION = 1
 EXIT_USAGE = 2
 EXIT_EXHAUSTED = 3
+
+# k sizes every list and matching of a cover; plane graphs are
+# DP-5-colorable, so nothing of interest lies past MAX_K
+MAX_K = 64
 
 
 class CliError(Exception):
@@ -200,13 +204,13 @@ def _cmd_discharge(args) -> int:
     for note in ledger.flags + ledger.rule_violations:
         print(f"  note: {note}")
     if report.negatives:
-        print(f"  elements with negative final charge: {len(report.negatives)}")
+        text = frac_texts([n.final for n in report.negatives])
+        lines = [f"  elements with negative final charge: {len(report.negatives)}"]
         for n in report.negatives:
-            print(f"    {n.key}: {frac_str(n.final)}")
-            for r in n.nearby_reducible:
-                print(f"      reducible [{r.kind}] {r.detail}")
-            for note in n.hypothesis_notes:
-                print(f"      hypothesis: {note}")
+            lines.append(f"    {n.key}: {text[id(n.final)]}")
+            lines += [f"      reducible [{r.kind}] {r.detail}" for r in n.nearby_reducible]
+            lines += [f"      hypothesis: {note}" for note in n.hypothesis_notes]
+        print("\n".join(lines))
     else:
         print("  all final charges non-negative")
     if args.json_out:
@@ -239,8 +243,14 @@ def _check_limit(limit: int) -> None:
         raise CliError(f"--limit must be at least 1, got {limit}")
 
 
+def _check_k(k: int) -> None:
+    if not 1 <= k <= MAX_K:
+        raise CliError(f"--k must be between 1 and {MAX_K}, got {k}")
+
+
 def _cmd_solve(args) -> int:
     _check_limit(args.limit)
+    _check_k(args.k)
     g, name = _load(args.file)
     cover = _make_cover(args, g)
     problems = validate_cover(cover)
@@ -364,6 +374,7 @@ def _parse_seed_range(spec: str) -> range:
 
 def _cmd_hunt(args) -> int:
     _check_limit(args.limit)
+    _check_k(args.k)
     names = list(args.graphs) or list(DEFAULT_CATALOG)
     graphs: list[tuple[str, PlaneGraph]] = []
     for name in names:

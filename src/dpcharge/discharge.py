@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
+from typing import NamedTuple
 
 from .planegraph import Face, PlaneGraph
 from .structure import (Profile, ReducibleConfiguration, VertexClassification,
@@ -100,8 +101,7 @@ def face_key(f: int) -> str:
     return f"f{f}"
 
 
-@dataclass(frozen=True)
-class Transfer:
+class Transfer(NamedTuple):
     source: str
     target: str
     amount: Fraction
@@ -163,27 +163,26 @@ def _in_units(q: Fraction, unit: int) -> int:
 
 
 def initial_charges(graph: PlaneGraph) -> ChargeLedger:
-    """Charge d(x) - 4 on every vertex and face; connected input only."""
+    """Charge d(x) - 4 on every vertex and face; connected input only.
+    The keys are the vertices by id, then the faces by id."""
     if not graph.is_connected:
         raise ValueError("discharging requires a connected graph (the -8 identity)")
-    init: dict[str, Fraction] = {}
-    for v in graph.vertices():
-        init[vertex_key(v)] = Fraction(graph.degree(v) - 4)
-    for f in graph.faces:
-        init[face_key(f.id)] = Fraction(f.degree - 4)
-    return ChargeLedger(graph, None, init)
+    keys = [vertex_key(v) for v in graph.vertices()] + [face_key(f.id) for f in graph.faces]
+    degrees = graph.degrees + tuple(f.degree for f in graph.faces)
+    charge = {d: Fraction(d - 4) for d in set(degrees)}  # one object per degree
+    return ChargeLedger(graph, None, dict(zip(keys, map(charge.__getitem__, degrees))))
 
 
 def _phase1(graph: PlaneGraph, cls: VertexClassification, table: RuleTable,
-            ledger: ChargeLedger) -> None:
+            ledger: ChargeLedger, vkeys: list[str], fkeys: list[str]) -> None:
     out = ledger.transfers
+    bad, good = cls.bad3, cls.good3
     rule, amount = table.vertex_rule
-    for v in graph.vertices():
-        if graph.degree(v) < 5:
+    for v, d in enumerate(graph.degrees):
+        if d < 5:
             continue
-        for u in sorted(graph.neighbors(v)):
-            if cls.is_bad(u):
-                out.append(Transfer(vertex_key(v), vertex_key(u), amount, rule, 1))
+        for u in sorted(graph.adjacency[v] & bad):
+            out.append(Transfer(vkeys[v], vkeys[u], amount, rule, 1))
     # once per unordered face pair; pairs sharing two or more edges are
     # flagged for review
     rule, amount = table.triangle_rule
@@ -198,17 +197,18 @@ def _phase1(graph: PlaneGraph, cls: VertexClassification, table: RuleTable,
                 ledger.flags.append(
                     f"faces {f.id} and {g.id} share {len(shared)} edges; "
                     f"transferred once per pair, review manually")
-            out.append(Transfer(face_key(f.id), face_key(g.id), amount, rule, 1))
+            out.append(Transfer(fkeys[f.id], fkeys[g.id], amount, rule, 1))
     # incidence counts distinct boundary vertices, not walk occurrences
     for f in graph.faces:
         band = table.band(f.degree)
         if band is None:
             continue
+        fk = fkeys[f.id]
         for u in sorted(f.vertex_set):
-            if cls.is_good(u):
-                out.append(Transfer(face_key(f.id), vertex_key(u), band.good, band.rule, 1))
-            elif cls.is_bad(u):
-                out.append(Transfer(face_key(f.id), vertex_key(u), band.bad, band.rule, 1))
+            if u in good:
+                out.append(Transfer(fk, vkeys[u], band.good, band.rule, 1))
+            elif u in bad:
+                out.append(Transfer(fk, vkeys[u], band.bad, band.rule, 1))
 
 
 def _drain(graph: PlaneGraph, cls: VertexClassification, rule: str,
@@ -243,7 +243,9 @@ def run_rules(graph: PlaneGraph, ruleset: RuleSet) -> ChargeLedger:
     table = RULES[ruleset]
     ledger = initial_charges(graph)
     ledger.ruleset = ruleset
-    _phase1(graph, cls, table, ledger)
+    keys = list(ledger.initial)
+    n = graph.vertex_count
+    _phase1(graph, cls, table, ledger, keys[:n], keys[n:])
     if table.drain_rule is not None:
         _drain(graph, cls, table.drain_rule, ledger)
     allowed = table.amounts
@@ -283,13 +285,6 @@ class AuditReport:
         return not self.negatives
 
 
-def _element_vertices(graph: PlaneGraph, key: str) -> set[int]:
-    if key.startswith("v"):
-        v = int(key[1:])
-        return {v} | set(graph.neighbors(v))
-    return set(graph.faces[int(key[1:])].vertex_set)
-
-
 def audit(ledger: ChargeLedger) -> AuditReport:
     """Check the -8 identity and exact conservation; annotate every
     element that ends negative with the nearby reducible configurations
@@ -309,11 +304,11 @@ def audit(ledger: ChargeLedger) -> AuditReport:
     for i, r in enumerate(reducible):
         for v in r.vertices:
             by_vertex.setdefault(v, []).append(i)
+    # negative faces, then negative vertices, each by id
     negatives = []
-    for key in sorted(units, key=lambda k: (k[0], int(k[1:]))):
-        if units[key] >= 0:
-            continue
-        hits = {i for v in _element_vertices(graph, key) for i in by_vertex.get(v, ())}
+    for kind, x, key in sorted((k[0], int(k[1:]), k) for k, u in units.items() if u < 0):
+        near = graph.adjacency[x] | {x} if kind == "v" else graph.faces[x].vertex_set
+        hits = {i for v in near for i in by_vertex.get(v, ())}
         local = tuple(reducible[i] for i in sorted(hits))
         negatives.append(NegativeElement(key, final[key], local, notes))
     return AuditReport(

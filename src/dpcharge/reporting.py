@@ -19,6 +19,12 @@ def frac_str(x: Fraction | int) -> str:
     return f"{n}/{d}" if d != 1 else str(n)
 
 
+def frac_texts(values) -> dict[int, str]:
+    """``frac_str`` of each distinct object among ``values``, by id; the
+    objects must outlive the table."""
+    return {i: frac_str(q) for i, q in dict(zip(map(id, values), values)).items()}
+
+
 def input_hash(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()[:16]
 
@@ -27,8 +33,9 @@ def dump_json(doc: dict) -> str:
     """``json.dumps(doc, sort_keys=True, indent=1)``, byte for byte.
 
     The stdlib writes indented output with its pure-Python encoder.  Here
-    the C encoder writes every container whose children are all scalars
-    in one call, and a container reached twice is written once per dump.
+    the C encoder writes a container in one call wherever the container's
+    shape lets the indented text be recovered from that call's output,
+    and a container reached twice is written once per dump.
     """
     out: list[str] = []
     _write(doc, 0, out, {})
@@ -37,6 +44,8 @@ def dump_json(doc: dict) -> str:
 
 _CONTAINERS = (list, tuple, dict)
 _SCALARS = frozenset([str, int, float, bool, type(None)])
+_STR = frozenset([str])
+_BRACKETS = {dict: "{}", list: "[]", tuple: "[]"}
 
 
 def _unserializable(o):
@@ -53,34 +62,48 @@ def _flat_writer(level: int):
 
 
 def _write(o, level: int, out: list[str], memo: dict) -> None:
-    """Append the text of ``o`` to ``out``; ``memo`` maps a container
-    already written at ``level`` to the slice of ``out`` holding it."""
+    """Append the text of ``o`` to ``out``.  ``memo`` maps a container
+    already written at ``level`` to the slice of ``out`` holding it, and
+    from its second use on to that slice's text."""
     if isinstance(o, str):
         out.append(encode_basestring_ascii(o))
         return
     if not isinstance(o, _CONTAINERS):
         out += _flat_writer(0)(o, 0)
         return
-    key = (id(o), level)  # every container lives as long as the dump
-    span = memo.get(key)
-    if span is not None:
-        out += out[span[0]:span[1]]
+    if not o:
+        out.append("{}" if isinstance(o, dict) else "[]")
         return
-    start = len(out)
-    _write_container(o, level, out, memo)
-    memo[key] = (start, len(out))
+    key = (id(o), level)  # every container lives as long as the dump
+    if not _recall(key, out, memo):
+        start = len(out)
+        _write_container(o, level, out, memo)
+        memo[key] = (start, len(out))
+
+
+def _recall(key, out: list[str], memo: dict) -> bool:
+    hit = memo.get(key)
+    if hit is None:
+        return False
+    if type(hit) is tuple:
+        hit = memo[key] = "".join(out[hit[0]:hit[1]])
+    out.append(hit)
+    return True
 
 
 def _write_container(o, level: int, out: list[str], memo: dict) -> None:
+    """A non-empty container: one C-encoder call when it is flat or its
+    children are flat containers of one kind, the record path for a list
+    of objects with one key set, and item by item otherwise."""
     is_dict = isinstance(o, dict)
-    if not o:
-        out.append("{}" if is_dict else "[]")
-        return
     inner = level + 1
     children = o.values() if is_dict else o
-    # exact scalar types are the common case and cheaper to test than isinstance
-    if (_SCALARS.issuperset(map(type, children))
-            or not any(map(isinstance, children, repeat(_CONTAINERS)))):
+    kinds = set(map(type, children))
+    if len(kinds) == 1 and _BRACKETS.keys() >= kinds:
+        if all(children) and _write_one_kind(o, is_dict, kinds.pop(), level, out, memo):
+            return
+    # exact scalar types are the common case and cheaper to test than issubclass
+    elif kinds <= _SCALARS or not any(issubclass(k, _CONTAINERS) for k in kinds):
         flat = "".join(_flat_writer(inner)(o, 0))
         out.append(f"{flat[0]}\n{' ' * inner}{flat[1:-1]}\n{' ' * level}{flat[-1]}")
         return
@@ -96,6 +119,96 @@ def _write_container(o, level: int, out: list[str], memo: dict) -> None:
                 out.append(sep)
             _write(v, inner, out, memo)
     out.append(f"\n{' ' * level}{'}' if is_dict else ']'}")
+
+
+def _write_one_kind(o, is_dict: bool, kind: type, level: int, out: list[str],
+                    memo: dict) -> bool:
+    """Write ``o``, whose children are non-empty containers of one
+    ``kind``, if a fast path fits: one C-encoder call when the children
+    are flat, else the record path for a list of objects with one key
+    set.  False, having written nothing, when neither fits."""
+    children = o.values() if is_dict else o
+    grandchildren = map(dict.values, children) if kind is dict else children
+    if all(map(_SCALARS.issuperset, map(map, repeat(type), grandchildren))):
+        text = _flat_children(o, is_dict, _BRACKETS[kind], level)
+        if text is not None:
+            out.append(text)
+            return True
+    elif kind is dict and not is_dict:
+        # str keys only: 1, 1.0 and True are equal keys with different text
+        keys = o[0].keys()
+        if _STR.issuperset(map(type, keys)) and all(map(keys.__eq__, map(dict.keys, o))):
+            _write_records(o, level, out, memo)
+            return True
+    return False
+
+
+def _flat_children(o, is_dict: bool, brackets: str, level: int) -> str | None:
+    """The text of ``o``, whose children are non-empty flat containers
+    with the ``brackets`` given, from one C-encoder call; None when a
+    string could be mistaken for the text between two children.
+
+    The encoder separates items at both depths with a line break and the
+    children's children's indent.  It never writes a raw line break in a
+    string, so a closing bracket, that separator and an opening bracket
+    (or a key's quote) can only be the join of two children.
+    """
+    ind0, ind1, ind2 = " " * level, " " * (level + 1), " " * (level + 2)
+    op, cl = brackets
+    text = "".join(_flat_writer(level + 2)(o, 0))
+    if not is_dict:
+        body = text[2:-2].replace(f"{cl},\n{ind2}{op}", f"\n{ind1}{cl},\n{ind1}{op}\n{ind2}")
+        return f"[\n{ind1}{op}\n{ind2}{body}\n{ind1}{cl}\n{ind0}]"
+    # each child opens after its key; a string holding the same text
+    # would be taken for an opener, so then the count is off
+    opener = f'": {op}'
+    if text.count(opener) != len(o):
+        return None
+    body = text[1:-2].replace(opener, f"{opener}\n{ind2}").replace(
+        f'{cl},\n{ind2}"', f'\n{ind1}{cl},\n{ind1}"')
+    return f"{{\n{ind1}{body}\n{ind1}{cl}\n{ind0}}}"
+
+
+def _write_records(o: list, level: int, out: list[str], memo: dict) -> None:
+    """A list of objects with one set of str keys, not all flat: the key
+    text is built at the first record not already in the memo, once per
+    key order and level in a dump."""
+    inner = level + 1
+    sep, end = ",\n" + " " * inner, f"\n{' ' * inner}}}"
+    heads = None
+    out.append("[" + sep[1:])
+    for i, rec in enumerate(o):
+        if i:
+            out.append(sep)
+        key = (id(rec), inner)
+        if _recall(key, out, memo):
+            continue
+        if heads is None:
+            heads = _record_heads(tuple(rec), inner, memo)
+        start = len(out)
+        for head, k in heads:
+            v = rec[k]
+            if type(v) is str:
+                out.append(head + encode_basestring_ascii(v))
+            else:
+                out.append(head)
+                _write(v, inner + 1, out, memo)
+        out.append(end)
+        memo[key] = (start, len(out))
+    out.append(f"\n{' ' * level}]")
+
+
+def _record_heads(names: tuple[str, ...], level: int, memo: dict) -> list[tuple[str, str]]:
+    """(text before the value, key) for each key of an object at
+    ``level``, in sorted order.  Kept in the memo under the key tuple,
+    which cannot collide with a container's (id, level) entry."""
+    heads = memo.get((names, level))
+    if heads is None:
+        pad = "\n" + " " * (level + 1)
+        heads = [(f"{',' if j else '{'}{pad}{encode_basestring_ascii(k)}: ", k)
+                 for j, k in enumerate(sorted(names))]
+        memo[names, level] = heads
+    return heads
 
 
 def _key(k) -> str:
@@ -118,29 +231,32 @@ def ledger_to_json(ledger, report=None) -> dict:
     ``report`` is the ledger's audit when the caller already has it.  A
     reducible configuration near several negative elements, and the
     hypothesis notes that every negative element carries, are one object
-    each in the document, so ``dump_json`` writes them once.
+    each in the document, so ``dump_json`` writes them once.  Charges are
+    a few shared objects, so each is turned into text once.
     """
     from .discharge import audit
 
     if report is None:
         report = audit(ledger)
-    configs: dict = {}
-    notes: dict = {}
+    text = frac_texts([*ledger.initial.values(), *report.final.values(),
+                       *(t.amount for t in ledger.transfers)])
+    configs: dict[int, dict] = {}  # by id, as are the notes below
+    notes: dict[int, list] = {}
     for n in report.negatives:
         for r in n.nearby_reducible:
-            if r not in configs:
-                configs[r] = reducible_to_json(r)
-        if n.hypothesis_notes not in notes:
-            notes[n.hypothesis_notes] = list(n.hypothesis_notes)
+            if id(r) not in configs:
+                configs[id(r)] = reducible_to_json(r)
+        if id(n.hypothesis_notes) not in notes:
+            notes[id(n.hypothesis_notes)] = list(n.hypothesis_notes)
     return {
         "ruleset": ledger.ruleset.value if ledger.ruleset else None,
-        "initial": {k: frac_str(v) for k, v in sorted(ledger.initial.items())},
+        "initial": {k: text[id(v)] for k, v in sorted(ledger.initial.items())},
         "transfers": [
-            {"source": t.source, "target": t.target, "amount": frac_str(t.amount),
-             "rule": t.rule, "phase": t.phase}
-            for t in ledger.transfers
+            {"source": source, "target": target, "amount": text[id(amount)],
+             "rule": rule, "phase": phase}
+            for source, target, amount, rule, phase in ledger.transfers
         ],
-        "final": {k: frac_str(v) for k, v in sorted(report.final.items())},
+        "final": {k: text[id(v)] for k, v in sorted(report.final.items())},
         "beta": {f"f{fid}": frac_str(b) for fid, b in sorted(ledger.betas.items())},
         "flags": list(ledger.flags),
         "rule_violations": list(ledger.rule_violations),
@@ -150,9 +266,9 @@ def ledger_to_json(ledger, report=None) -> dict:
             "euler_identity_ok": report.euler_identity_ok,
             "conservation_ok": report.conservation_ok,
             "negatives": [
-                {"element": n.key, "final": frac_str(n.final),
-                 "reducible": [configs[r] for r in n.nearby_reducible],
-                 "hypothesis_notes": notes[n.hypothesis_notes]}
+                {"element": n.key, "final": text[id(n.final)],
+                 "reducible": [configs[id(r)] for r in n.nearby_reducible],
+                 "hypothesis_notes": notes[id(n.hypothesis_notes)]}
                 for n in report.negatives
             ],
         },

@@ -31,6 +31,16 @@ def _is_number(token: str) -> bool:
     return token.isascii() and token.isdigit()
 
 
+def _to_int(line_no: int, token: str, what: str) -> int:
+    """An ASCII digit token as a number; one past int()'s digit limit
+    (4300 digits by default) is an error that names the line."""
+    try:
+        return int(token)
+    except ValueError:
+        raise RotationFileError(line_no, f"{what} has {len(token)} digits, "
+                                         f"too many to convert") from None
+
+
 def _neighbors(line_no: int, tail: str, count: int) -> tuple[int, ...]:
     """The neighbor tokens of one 'v' line.  A line of ASCII digit tokens
     in range is converted at once; otherwise the tokens are checked one by
@@ -44,12 +54,15 @@ def _neighbors(line_no: int, tail: str, count: int) -> tuple[int, ...]:
         else:
             if max(nbrs) < count:
                 return nbrs
+    nbrs = []
     for token in tokens:
         if not _is_number(token):
             raise RotationFileError(line_no, f"bad neighbor token {token!r}")
-        if int(token) >= count:
-            raise RotationFileError(line_no, f"neighbor {int(token)} out of range 0..{count - 1}")
-    return tuple(map(int, tokens))
+        u = _to_int(line_no, token, "neighbor")
+        if u >= count:
+            raise RotationFileError(line_no, f"neighbor {u} out of range 0..{count - 1}")
+        nbrs.append(u)
+    return tuple(nbrs)
 
 
 def parse_rotation_file(text: str) -> tuple[PlaneGraph, str]:
@@ -71,7 +84,7 @@ def parse_rotation_file(text: str) -> tuple[PlaneGraph, str]:
             parts = line.split()
             if len(parts) != 2 or parts[0] != "n" or not _is_number(parts[1]):
                 raise RotationFileError(line_no, "expected 'n <count>'")
-            count = int(parts[1])
+            count = _to_int(line_no, parts[1], "count")
             continue
         if not line.startswith("v "):
             raise RotationFileError(line_no, f"expected 'v <id>: <neighbors>', got {line!r}")
@@ -79,7 +92,7 @@ def parse_rotation_file(text: str) -> tuple[PlaneGraph, str]:
         head = head.strip()
         if not _is_number(head):
             raise RotationFileError(line_no, f"bad vertex id {head!r}")
-        v = int(head)
+        v = _to_int(line_no, head, "vertex id")
         if v >= count:
             raise RotationFileError(line_no, f"vertex id {v} out of range 0..{count - 1}")
         if v in rotations:

@@ -162,6 +162,28 @@ def test_limit_below_one_is_usage_error(command, limit, tmp_path, capsys):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("k", ["0", "65", str(10**30)])
+@pytest.mark.parametrize("command", ["solve", "hunt"])
+def test_k_outside_its_range_is_usage_error(command, k, tmp_path, capsys):
+    # a k past the range sized a cover by it: 10**30 escaped as an
+    # OverflowError, and k = 10**8 would build lists of 10**8 colors
+    g_path = tmp_path / "k4.pg"
+    assert cli_dispatch(["gen", "k4", "-o", str(g_path)]) == 0
+    args = (["solve", str(g_path), "--mode", "ba"] if command == "solve"
+            else ["hunt", "cycle:5", "--profile", "no46", "--seeds", "0..0"])
+    capsys.readouterr()
+    assert cli_dispatch(args + ["--k", k]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: --k must be between 1 and 64, got {k}\n"
+    assert captured.out == ""
+
+
+def test_k_at_its_maximum_is_accepted(tmp_path):
+    g_path = tmp_path / "k4.pg"
+    assert cli_dispatch(["gen", "k4", "-o", str(g_path)]) == 0
+    assert cli_dispatch(["solve", str(g_path), "--mode", "ba", "--k", "64"]) == 0
+
+
 def _solved_transversal(tmp_path, graph_name):
     g_path = tmp_path / "solved.pg"
     t_path = tmp_path / "t.json"

@@ -1,10 +1,12 @@
-"""Byte-exact JSON reports of ``structure`` and ``discharge``.
+"""Byte-exact JSON reports and standard output of ``structure`` and
+``discharge``.
 
 The digests pin every catalog graph under both profiles (and the
 matching rule sets), so a change to how the facts behind a report are
-computed cannot change a report's bytes unnoticed.  Each report is
-written from a graph file named ``g.pg`` in the working directory,
-since the command line is part of the report.
+computed, or to how its lines are printed, cannot change a report's or
+the output's bytes unnoticed.  Each report is written from a graph file
+named ``g.pg`` in the working directory, since the command line is part
+of the report.
 """
 
 import hashlib
@@ -58,20 +60,83 @@ GOLDEN = {
         '53fa60be073d2213c62ee3b0a0c85f78ebe315744b1115b55832c1182a7529aa'),
 }
 
+# (graph, profile) -> (sha256 of the standard output of structure --json,
+#                      sha256 of that of discharge --json), same commands as above
+STDOUT = {
+    ('triangle', 'no48'): ('2825901003bec067d69dbe66598343c35468fe41d3da14b0e4b8e47f6da9cf36',
+        '7d1609e63ad6a0ccb5ea2f6426d2b8483a91980c63228a28e051833d0fe0e3ab'),
+    ('triangle', 'no46'): ('795201834b6f5a063716b5276a2a954b55bd1ddd36a47da6c1bf802896a48263',
+        '751ac0778b192b2984934e87f5293558c945ad3cda9c63604cfe89b4d830350c'),
+    ('k4', 'no48'): ('8a322c180e8f1507730c1ffecfcfb9d8f08780316f08d4209e22eb0d3480ef70',
+        'b20842f3f669005a1fc7d8073712ff48567f4c3dcc25e6536bc05af72eed6080'),
+    ('k4', 'no46'): ('4c40d11d6e2e07cfb76a6e1079bbe4da364f6cde9fd2d27389408983037a1710',
+        'a2c9613f30925afcc8da100fdce45340715d8f75c21e20ce7c6a6fc6e1a6ad9f'),
+    ('cube', 'no48'): ('3cad46a1a00b8bdb4d188d07ce4ac314ce75d745a84c08f101d4ae3546236104',
+        '187ba22642e6d0cf9267a4aea6dceb6a0121e2151de03fc5fc3f7c24c034fb3c'),
+    ('cube', 'no46'): ('f0e829c9f1e5db4cbdcd6627ffe9820d6b7023f7211cfbdc15ba7782306d82e1',
+        '423a93a92bcd773137ad93cb84ecec3f25442bbff78014910bbe7a214aeaeddc'),
+    ('cycle:5', 'no48'): ('6800bd696b6fc164323a1c42f072ce3da39486a121519c9c41f6f38c273a4410',
+        '59d858120a44db481a91b2e9199c79d2a18b136c606799ca26ab8ac149205726'),
+    ('cycle:5', 'no46'): ('5c02bb5dd7aa31a28e1162c6fee8bb6828c1b3cdc6d4eaa3f1853a43924aa2c0',
+        'd5c2cfaff77710ec9c2aa2927f8694c023a77985243388c10fa0f6af99baef3d'),
+    ('cycle:7', 'no48'): ('86c6725bfa7cbf592e9ec043291bb0f54d618a68b818b6bbb2e14ffa577b55f8',
+        '9f74af7dd0984af5eb336a90fa34fb3925cf9de7aa2bded766df48051e573a99'),
+    ('cycle:7', 'no46'): ('1826bbd8b2c102c4f34a8625569339054a5db7dc75e54535549e875f929a687a',
+        '49875cf82dca79b0db2bcdce15534dca4443c108a9f3dc092c342f38a5000d33'),
+    ('cycle:9', 'no48'): ('886552f4a61ad475054d74cb33b1c0ad364264874777ea76c0593cdc4acc71eb',
+        '0f208a7ec041546ed37d86419d7233b51ec6d1c9c5c4bd91f32a041eaf6a6496'),
+    ('cycle:9', 'no46'): ('fb32208eab566a3184aebfe3b1ec95a8d37cca595030ad3e554c24339b82313d',
+        '57916831927bd642dfbfc865b8d196bef8c2ec0a0a5c5432193bd4084f57cb45'),
+    ('dodecahedron', 'no48'): ('5134a1daeb4217db7d220b13af6b0039fb1a49613334dd4e956dd10df1b55824',
+        'af2aabfb69acb4a59b264866c7ff26bf5b6c03cb17550f3ef0e2d8935c7dbd15'),
+    ('dodecahedron', 'no46'): ('86ce78db4b9f4ec4af6e3b2a0a2b1c5384afb384ac5371893f6c0334da94c720',
+        '82570a4095b3b46eb07a4c0088073570cf9f9008077e360ee62140676328130c'),
+    ('figure1', 'no48'): ('8d18a54055edbcfa5c55183a76ce54716855000b8fd7d51d3ca27a5d88eb0a65',
+        'baf0c0ce011c18c27e54c11ed33b759817fdccd337ca3edafd53c4af684d4ce0'),
+    ('figure1', 'no46'): ('2bc8b32842227b82173b401a9aaceac0ef037bbb26b9b25cbfbff5931b13c7d7',
+        '69b67d3a5a498d7955b02cc1d63a98f661a8be159cf5cc2b43065ea505a72ced'),
+    ('theta:1,2,2', 'no48'): ('6a389b799b4f01da594307e3269a96ab9b49de2f2a297d34091294dde67ba489',
+        'b4409a994c1b1d09eba19fd3b72074e10c3f6e77279b8293ed3e9e9e7a675897'),
+    ('theta:1,2,2', 'no46'): ('347a83427d9b33f143a45c15101799988354bc87f0efecb8610e94a6d90c3b82',
+        '76f4c193e57feb5a5800de089fdf7ab16705589bc97436e0ece21a3817c13947'),
+    ('theta:3,3,3', 'no48'): ('1725a806c1ebbbf0243e70c3f523d503c67ca8208833229e2c57717794600d90',
+        '48dfefd9cb3faf1d6f6acb3c3e0011d0a84bfc5745679f88478a4ffcfd1414a2'),
+    ('theta:3,3,3', 'no46'): ('a2f9f5a4b3f1e4f7f6fe382b2d0a71f3fc79044cc276b1cc143c468c5034c48b',
+        '3caed4143500a7f90a598278e01fe73cab1adf027dff5a3182548eb9d71e4b35'),
+}
+
 
 def _digest(path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
+def _run(name, profile, capsys) -> tuple[str, str]:
+    """Write g.pg, s.json and d.json in the working directory; returns
+    the digests of the two commands' standard output."""
+    rules = {"no48": "rs48", "no46": "rs46"}[profile]
+    assert cli_dispatch(["gen", name, "-o", "g.pg"]) == 0
+    capsys.readouterr()
+    outs = []
+    for argv in (["structure", "g.pg", "--profile", profile, "--json", "s.json"],
+                 ["discharge", "g.pg", "--rules", rules, "--json", "d.json"]):
+        cli_dispatch(argv)
+        outs.append(hashlib.sha256(capsys.readouterr().out.encode()).hexdigest())
+    return outs[0], outs[1]
+
+
 def test_golden_covers_the_catalog():
-    assert set(GOLDEN) == {(n, p) for n in DEFAULT_CATALOG for p in ("no48", "no46")}
+    assert set(GOLDEN) == set(STDOUT) == {(n, p) for n in DEFAULT_CATALOG
+                                          for p in ("no48", "no46")}
 
 
 @pytest.mark.parametrize("name,profile", sorted(GOLDEN))
 def test_report_bytes(name, profile, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
-    rules = {"no48": "rs48", "no46": "rs46"}[profile]
-    assert cli_dispatch(["gen", name, "-o", "g.pg"]) == 0
-    cli_dispatch(["structure", "g.pg", "--profile", profile, "--json", "s.json"])
-    cli_dispatch(["discharge", "g.pg", "--rules", rules, "--json", "d.json"])
+    _run(name, profile, capsys)
     assert (_digest(tmp_path / "s.json"), _digest(tmp_path / "d.json")) == GOLDEN[name, profile]
+
+
+@pytest.mark.parametrize("name,profile", sorted(STDOUT))
+def test_stdout_bytes(name, profile, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert _run(name, profile, capsys) == STDOUT[name, profile]

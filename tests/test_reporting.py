@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dpcharge import cli
+from dpcharge import cli, reporting
 from dpcharge.catalog import DEFAULT_CATALOG, generate
 from dpcharge.cover import cover_doc, identity_cover, random_cover
 from dpcharge.discharge import RuleSet, run_rules
@@ -50,6 +50,79 @@ def shared(draw):
 @given(VALUES | deep() | shared())
 @settings(max_examples=500, deadline=None)
 def test_dump_json_matches_stdlib(doc):
+    assert dump_json(doc) == stdlib(doc)
+
+
+# -- the shapes that the writer encodes in one call or as records ---------
+
+# fragments of the text between two containers, so a string can look like
+# a join or an opener
+JOINS = st.lists(st.sampled_from(['": [', '": {', ': [', ': {', '},', '],', '}, {', '"', '\\',
+                                  ',\n ', ' ', '[', '{', 'a']), max_size=5).map("".join)
+KEYS = STRINGS | JOINS
+FLAT_SCALARS = st.none() | st.booleans() | st.integers(-3, 5) | st.floats() | STRINGS | JOINS
+FLAT_LIST = st.lists(FLAT_SCALARS, min_size=1, max_size=4)
+FLAT_DICT = st.dictionaries(KEYS, FLAT_SCALARS, min_size=1, max_size=4)
+FLAT = FLAT_LIST | FLAT_DICT | FLAT_LIST.map(tuple)
+ONE_KIND = (st.lists(FLAT_LIST, min_size=1, max_size=5)
+            | st.lists(FLAT_DICT, min_size=1, max_size=5)
+            | st.dictionaries(KEYS, FLAT_LIST, min_size=1, max_size=5)
+            | st.dictionaries(KEYS, FLAT_DICT, min_size=1, max_size=5))
+
+
+@st.composite
+def records(draw):
+    """Objects with one key set, whose values mix scalars, flat and nested
+    containers, and objects drawn earlier: records shared within a list,
+    across lists, and at different depths."""
+    keys = draw(st.lists(KEYS, min_size=1, max_size=4, unique=True))
+    pool: list = []
+    values = FLAT_SCALARS | FLAT | ONE_KIND | st.lists(FLAT, max_size=2)
+
+    def record():
+        rec = {k: draw(values | st.sampled_from(pool) if pool else values) for k in keys}
+        pool.append(rec)
+        return rec
+
+    lists = [[record() for _ in range(draw(st.integers(1, 4)))] for _ in range(3)]
+    for lst in lists:  # repeats within a list and across lists
+        lst += draw(st.lists(st.sampled_from(pool), max_size=3))
+    return {"a": lists[0], "b": [lists[1], {"c": lists[2]}], "d": pool[0],
+            "e": [[pool[-1]], lists[0]]}
+
+
+@given(ONE_KIND | FLAT | records() | st.lists(ONE_KIND, max_size=3)
+       | st.dictionaries(KEYS, ONE_KIND, max_size=3))
+@settings(max_examples=1500, deadline=None)
+def test_dump_json_shapes_match_stdlib(doc):
+    assert dump_json(doc) == stdlib(doc)
+
+
+@pytest.mark.parametrize("doc", [
+    {'": [': [1, 2]}, {"a": [1], ': [': [2]}, {"k": ['": [x', 1]}, {"k": [": [x"]},
+    {"x": {"a": ": {"}, "y": {"b": 1}}, {'": {': {"a": 1}}, [{"a": '}, {'}, {"a": "},"}],
+    [["],", "\\"], ["[", "]"]], [{1: [0]}, {True: [1]}], [{1.0: [0]}, {1: [1]}],
+    [{"a": [1]}, {"b": [2]}], [{"a": [1], "b": {}}, {"b": {}, "a": []}], [(1, 2), [3]],
+    {"k": ({"a": [1]}, {"a": [2]})}, [{"a": 1}, {}], [[1], []], {"a": [1], "b": []},
+], ids=repr)
+def test_dump_json_shape_edges(doc):
+    assert dump_json(doc) == stdlib(doc)
+
+
+def test_shared_records_are_written_once_per_level(monkeypatch):
+    rec = {"name": "x", "items": [1, [2]]}
+    doc = {"a": [rec] * 50, "b": [[rec] * 50]}
+    real, calls = reporting.encode_basestring_ascii, []
+    monkeypatch.setattr(reporting, "encode_basestring_ascii",
+                        lambda s: calls.append(s) or real(s))
+    assert dump_json(doc) == stdlib(doc)
+    assert calls.count("x") == 2  # at depth 2 under "a" and depth 3 under "b"
+
+
+@pytest.mark.parametrize("name", ["cycle:40", "theta:4,5,6", "dodecahedron"])
+@pytest.mark.parametrize("rules", list(RuleSet))
+def test_ledger_documents_match_stdlib(name, rules):
+    doc = ledger_to_json(run_rules(generate(name), rules))
     assert dump_json(doc) == stdlib(doc)
 
 

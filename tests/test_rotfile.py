@@ -198,3 +198,28 @@ def test_malformed_rotation_lines(body, message):
     with pytest.raises(RotationFileError) as info:
         parse_rotation_file(HEAD + body)
     assert str(info.value) == message
+
+
+# -- numbers past int()'s digit limit (4300 digits by default) -------------
+
+LONG = "1" * 5000
+
+
+@pytest.mark.parametrize("text,message", [
+    (f"planegraph x\nn {LONG}\n", "line 2: count has 5000 digits, too many to convert"),
+    (f"{HEAD}v {LONG}: 1 2\n", "line 3: vertex id has 5000 digits, too many to convert"),
+    (f"{HEAD}v 0: 1 {LONG}\n", "line 3: neighbor has 5000 digits, too many to convert"),
+    (f"{HEAD}v 0: 1 2\nv 1: {LONG} x\n", "line 4: neighbor has 5000 digits, too many to convert"),
+], ids=["count", "vertex-id", "neighbor", "neighbor-before-bad-token"])
+def test_numbers_past_the_digit_limit(text, message):
+    with pytest.raises(RotationFileError) as info:
+        parse_rotation_file(text)
+    assert str(info.value) == message
+
+
+def test_cli_names_the_line_of_an_overlong_number(tmp_path, capsys):
+    path = tmp_path / "long.pg"
+    path.write_text(f"{HEAD}v 0: 1 2\nv 1: 0 {LONG}\nv 2: 0 1\n")
+    assert cli_dispatch(["faces", str(path)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {path}: line 4: neighbor has 5000 digits, too many to convert\n")
