@@ -4,7 +4,7 @@ for embedded plane graphs."""
 from .catalog import DEFAULT_CATALOG, PlanePatch, generate
 from .cover import (Cover, cover_from_json, cover_to_json, enumerate_covers,
                     identity_cover, random_cover, validate_cover)
-from .cycles import CycleList, cycles_of_length
+from .cycles import cycles_of_length
 from .discharge import (AuditReport, ChargeLedger, RuleSet, audit, beta,
                         initial_charges, run_rules)
 from .hunt import HuntReport, hunt, replay_cover

@@ -137,9 +137,9 @@ def _cmd_structure(args) -> int:
     hyp = check_profile(g, profile)
     print(f"{name}: profile {profile.value}")
     print(f"  connected: {hyp.connected}; minimum degree: {hyp.min_degree}")
-    print(f"  4-cycle-free: {hyp.four_cycle_free}"
+    print(f"  4-cycle-free: {hyp.four_cycle is None}"
           + (f" (witness {hyp.four_cycle})" if hyp.four_cycle else ""))
-    print(f"  {hyp.other_length}-cycle-free: {hyp.other_cycle_free}"
+    print(f"  {hyp.other_length}-cycle-free: {hyp.other_cycle is None}"
           + (f" (witness {hyp.other_cycle})" if hyp.other_cycle else ""))
     cls = classify_vertices(g)
     print(f"  3-vertices: {len(cls.bad3) + len(cls.good3)} "
@@ -149,7 +149,6 @@ def _cmd_structure(args) -> int:
     for r in red:
         print(f"    [{r.kind}] {r.detail}")
     report = check_structural_lemmas(g, profile)
-    bad = False
     for item in report.items:
         line = f"    {item.item}: {item.verdict.value}"
         if item.verdict is Verdict.HYPOTHESIS_NOT_MET:
@@ -158,7 +157,6 @@ def _cmd_structure(args) -> int:
         elif item.witness:
             line += f" witness {item.witness}"
         print(line)
-        bad = bad or item.verdict is Verdict.VIOLATED
     if profile is Profile.NO48:
         for rec in special_vertex_analysis(g):
             print(f"    special vertex {rec.vertex}: identification "
@@ -188,13 +186,11 @@ def _cmd_structure(args) -> int:
         }
         with open(args.json_out, "w", encoding="utf-8") as fh:
             fh.write(dump_json(doc))
-    return EXIT_VIOLATION if bad else EXIT_OK
+    return EXIT_VIOLATION if report.violated else EXIT_OK
 
 
 def _cmd_discharge(args) -> int:
     g, name = _load(args.file)
-    if not g.is_connected:
-        raise CliError("discharging requires a connected graph")
     ledger = run_rules(g, RuleSet(args.rules))
     report = audit(ledger)
     print(f"{name}: rules {args.rules}, {len(ledger.transfers)} transfers")
@@ -284,7 +280,7 @@ def _cmd_solve(args) -> int:
             "command": f"solve {args.file} --mode {args.mode} --cover {args.cover}",
             "graph_hash": input_hash(serialize_rotation_file(g, name)),
             "mode": args.mode,
-            "k": args.k,
+            "k": cover.k,
             "assignment": {str(v): c for v, c in assignment.items()},
             "cover": cover_doc(cover),
         }

@@ -36,9 +36,6 @@ class Cover:
     matchings: Mapping[tuple[int, int], tuple[Pair, ...]]  # key (u, v), u < v
     provenance: tuple[tuple[str, object], ...] = ()
 
-    def edge_total(self) -> int:
-        return sum(len(m) for m in self.matchings.values())
-
     @cached_property
     def node_graph(self) -> tuple:
         """(vert, color, own, ids, adj), built on first use.  Node i is
@@ -100,11 +97,6 @@ def _seeded_permutation(randrange: Callable[[int], int], items: Sequence[int]) -
 
 def _matching_size_weights(k: int) -> list[int]:
     return [comb(k, j) ** 2 * factorial(j) for j in range(k + 1)]
-
-
-def count_matchings(k: int) -> int:
-    """Number of matchings between two k-sets: sum_j C(k,j)^2 j!."""
-    return sum(_matching_size_weights(k))
 
 
 def random_cover(graph: PlaneGraph, k: int, seed: int, full: bool) -> Cover:
@@ -224,13 +216,13 @@ def cover_doc(cover: Cover) -> dict:
     }
 
 
-def cover_to_json(cover: Cover, include_graph: bool = True) -> str:
-    """Canonical JSON text; equal covers serialize byte-identically."""
+def cover_to_json(cover: Cover) -> str:
+    """Canonical JSON text, base graph included; equal covers serialize
+    byte-identically."""
     from .rotfile import serialize_rotation_file
 
     doc = cover_doc(cover)
-    if include_graph:
-        doc["graph"] = serialize_rotation_file(cover.graph, name="cover-base")
+    doc["graph"] = serialize_rotation_file(cover.graph, name="cover-base")
     return dump_json(doc)
 
 

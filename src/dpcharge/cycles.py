@@ -8,27 +8,11 @@ no rotation or reflection duplicates.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterator
 
 from .planegraph import PlaneGraph
 
 MAX_CYCLE_LENGTH = 12
-
-
-@dataclass(frozen=True)
-class CycleList:
-    k: int
-    cycles: tuple[tuple[int, ...], ...]
-
-    def __len__(self) -> int:
-        return len(self.cycles)
-
-    def __bool__(self) -> bool:
-        return bool(self.cycles)
-
-    def __iter__(self):
-        return iter(self.cycles)
 
 
 def _canonical_cycles(graph: PlaneGraph, k: int) -> Iterator[tuple[int, ...]]:
@@ -71,12 +55,12 @@ def _canonical_cycles(graph: PlaneGraph, k: int) -> Iterator[tuple[int, ...]]:
         on_path[s] = False
 
 
-def cycles_of_length(graph: PlaneGraph, k: int) -> CycleList:
+def cycles_of_length(graph: PlaneGraph, k: int) -> tuple[tuple[int, ...], ...]:
     """All simple k-cycles of the graph, canonical, duplicate-free, sorted.
 
     k must lie in 3..12; longer enumeration is out of scope.
     """
-    return CycleList(k, tuple(_canonical_cycles(graph, k)))
+    return tuple(_canonical_cycles(graph, k))
 
 
 def find_cycle(graph: PlaneGraph, k: int) -> tuple[int, ...] | None:

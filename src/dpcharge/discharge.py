@@ -34,10 +34,6 @@ class RuleSet(Enum):
     def profile(self) -> Profile:
         return Profile.NO48 if self is RuleSet.RS48 else Profile.NO46
 
-    @property
-    def allowed_amounts(self) -> frozenset[Fraction]:
-        return RULES[self].amounts
-
 
 @dataclass(frozen=True)
 class Band:

@@ -48,10 +48,6 @@ class HuntReport:
     candidates: list[HuntCandidate] = field(default_factory=list)
     exhausted: list[tuple[str, int]] = field(default_factory=list)  # (name, seed)
 
-    @property
-    def clean(self) -> bool:
-        return not self.candidates
-
     def to_json(self) -> dict:
         return {
             "version": self.version,

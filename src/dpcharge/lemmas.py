@@ -117,7 +117,7 @@ def _seven_faces_are_chordless_cycles(graph: PlaneGraph):
 
 
 _ITEMS_NO48: tuple[tuple[str, str, bool, Check], ...] = (
-    ("no48.i", "no two 3-faces are adjacent", False, lambda g: _no_adjacent_3_faces(g)),
+    ("no48.i", "no two 3-faces are adjacent", False, _no_adjacent_3_faces),
     ("no48.ii", "a 3-face adjacent to a 5-face is normally adjacent", False,
      _adjacent_implies_normal(3, 5)),
     ("no48.iii", "a 3-face adjacent to a 6-face is normally adjacent", True,
@@ -131,11 +131,11 @@ _ITEMS_NO48: tuple[tuple[str, str, bool, Check], ...] = (
 )
 
 _ITEMS_NO46: tuple[tuple[str, str, bool, Check], ...] = (
-    ("no46.i", "no two 3-faces are adjacent", False, lambda g: _no_adjacent_3_faces(g)),
+    ("no46.i", "no two 3-faces are adjacent", False, _no_adjacent_3_faces),
     ("no46.ii", "no 3-face is adjacent to a 5-face", False, _never_adjacent(3, 5)),
     ("no46.iii", "no 3-face is adjacent to a 6-face", True, _never_adjacent(3, 6)),
     ("no46.iv", "every 7-face is bounded by a 7-cycle and every 7-cycle is chordless",
-     False, lambda g: _seven_faces_are_chordless_cycles(g)),
+     False, _seven_faces_are_chordless_cycles),
     ("no46.v", "a 3-face adjacent to a 7-face is normally adjacent", False,
      _adjacent_implies_normal(3, 7)),
 )
@@ -239,7 +239,7 @@ def special_vertex_analysis(graph: PlaneGraph) -> list[SpecialVertexRecord]:
         one_triangle_ok = len(kept_tris) == 1 and kept_tris[0] == f1.id
 
         on_faces = (f2.vertex_set | f3.vertex_set) - {v}
-        raw_others = tuple(sorted(u for u in on_faces if cls.is_special(u)))
+        raw_others = tuple(sorted(u for u in on_faces if u in cls.special))
         excluded_s = []
         kept_others = []
         for u in raw_others:

@@ -98,7 +98,7 @@ class PlaneGraph:
         self._succ = succ
         self._dart_face = dart_face
         self._starts = starts
-        self._hypotheses: dict = {}  # Profile -> HypothesisReport, see check_profile
+        self._least_cycles: dict = {}  # length -> least cycle or None, see check_profile
         self._classification = None  # VertexClassification, see classify_vertices
 
     @cached_property
@@ -156,9 +156,6 @@ class PlaneGraph:
     def incident_faces(self, v: int) -> tuple[int, ...]:
         """Face ids at the corners of v (one per corner, may repeat a face)."""
         return self._corner_faces[v]
-
-    def incident_face_degrees(self, v: int) -> tuple[int, ...]:
-        return tuple(sorted(self.faces[f].degree for f in self._corner_faces[v]))
 
     # -- face adjacency ------------------------------------------------
 

@@ -50,10 +50,6 @@ class DefectVector:
         if any(d < 0 for d in self.budgets):
             raise ValueError("defect budgets must be non-negative")
 
-    @classmethod
-    def of(cls, *budgets: int) -> "DefectVector":
-        return cls(tuple(budgets))
-
     def budget(self, color: int) -> int:
         if not (1 <= color <= len(self.budgets)):
             raise ValueError(f"color {color} has no defect budget (k={len(self.budgets)})")

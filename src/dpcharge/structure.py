@@ -36,15 +36,6 @@ class VertexClassification:
     good3: frozenset[int]
     special: frozenset[int]
 
-    def is_bad(self, v: int) -> bool:
-        return v in self.bad3
-
-    def is_good(self, v: int) -> bool:
-        return v in self.good3
-
-    def is_special(self, v: int) -> bool:
-        return v in self.special
-
 
 def classify_vertices(graph: PlaneGraph) -> VertexClassification:
     """The 3-vertex classes, computed once per graph and kept on it."""
@@ -85,14 +76,6 @@ class HypothesisReport:
     other_cycle: tuple[int, ...] | None
 
     @property
-    def four_cycle_free(self) -> bool:
-        return self.four_cycle is None
-
-    @property
-    def other_cycle_free(self) -> bool:
-        return self.other_cycle is None
-
-    @property
     def cycles_ok(self) -> bool:
         return self.four_cycle is None and self.other_cycle is None
 
@@ -119,32 +102,27 @@ class HypothesisReport:
 
 
 def check_profile(graph: PlaneGraph, profile: Profile) -> HypothesisReport:
-    """The hypothesis report, computed once per graph and profile.
+    """The hypothesis report of the graph under a profile.
 
-    Each witness is the least canonical cycle of its length.  The report
-    is kept on the graph, so it lives as long as the graph does.
+    Each witness is the least canonical cycle of its length.  The
+    witnesses are kept on the graph by length, so each length is
+    searched once per graph, whichever profiles ask for it.
     """
-    cached = graph._hypotheses.get(profile)
-    if cached is not None:
-        return cached
-    other_length = profile.forbidden_lengths[1]
+    least = graph._least_cycles
+    four, other_length = profile.forbidden_lengths
+    for k in (four, other_length):
+        if k not in least:
+            least[k] = find_cycle(graph, k)
     min_deg = graph.min_degree()
-    witness = None
-    for v in graph.vertices():
-        if graph.degree(v) == min_deg:
-            witness = v
-            break
-    report = HypothesisReport(
+    return HypothesisReport(
         profile=profile,
         connected=graph.is_connected,
         min_degree=min_deg,
-        min_degree_witness=witness,
-        four_cycle=find_cycle(graph, 4),
+        min_degree_witness=graph.degrees.index(min_deg) if graph.degrees else None,
+        four_cycle=least[four],
         other_length=other_length,
-        other_cycle=find_cycle(graph, other_length),
+        other_cycle=least[other_length],
     )
-    graph._hypotheses[profile] = report
-    return report
 
 
 @dataclass(frozen=True)

@@ -38,12 +38,12 @@ def _env_vertex(degree: int, kind: str | None = None,
         if g.degree(v) != degree:
             return False
         cls = classify_vertices(g)
-        if kind == "good" and not cls.is_good(v):
+        if kind == "good" and v not in cls.good3:
             return False
-        if kind == "bad" and not cls.is_bad(v):
+        if kind == "bad" and v not in cls.bad3:
             return False
         if face_degrees is not None:
-            if tuple(g.incident_face_degrees(v)) != tuple(sorted(face_degrees)):
+            if sorted(g.faces[f].degree for f in g.incident_faces(v)) != sorted(face_degrees):
                 return False
         return True
     return check
@@ -60,9 +60,9 @@ def _env_face(degree: int, triangles: int | None = None,
             if len(tris) != triangles:
                 return False
         cls = classify_vertices(g)
-        if good3 is not None and sum(1 for u in f.vertex_set if cls.is_good(u)) != good3:
+        if good3 is not None and sum(1 for u in f.vertex_set if u in cls.good3) != good3:
             return False
-        if bad3 is not None and sum(1 for u in f.vertex_set if cls.is_bad(u)) != bad3:
+        if bad3 is not None and sum(1 for u in f.vertex_set if u in cls.bad3) != bad3:
             return False
         return True
     return check

@@ -20,7 +20,7 @@ from dpcharge.structure import Profile, check_profile, classify_vertices
 
 from test_solver import paper_cover
 
-D022 = DefectVector.of(0, 2, 2)
+D022 = DefectVector((0, 2, 2))
 
 
 def criterion(number, name):
@@ -68,11 +68,11 @@ def test_criterion_3_beta():
     for name, g, fid in beta_family():
         f = g.faces[fid]
         cls = classify_vertices(g)
-        if not any(cls.is_special(v) for v in f.vertex_set):
+        if not any(v in cls.special for v in f.vertex_set):
             continue
         tris = [x for x in g.adjacent_faces(f) if x.degree == 3]
         threes = [v for v in f.vertex_set if g.degree(v) == 3]
-        bads = [v for v in threes if cls.is_bad(v)]
+        bads = [v for v in threes if v in cls.bad3]
         if len(tris) != 1 or not (len(threes) <= 2
                                   or (len(threes) == 3 and len(bads) >= 2)):
             continue

@@ -2,8 +2,9 @@ import json
 
 import pytest
 
+from dpcharge.catalog import generate
 from dpcharge.cli import cli_dispatch
-from dpcharge.cover import cover_to_json
+from dpcharge.cover import cover_doc, identity_cover
 from dpcharge.reporting import input_hash
 from dpcharge.rotfile import serialize_rotation_file
 
@@ -56,10 +57,11 @@ def test_discharge_negative_exit(figure1_file, tmp_path, capsys):
     assert doc["transfers"]
 
 
-def test_discharge_rejects_disconnected(tmp_path):
+def test_discharge_rejects_disconnected(tmp_path, capsys):
     path = tmp_path / "two.pg"
     path.write_text("planegraph two\nn 4\nv 0: 1\nv 1: 0\nv 2: 3\nv 3: 2\n")
     assert cli_dispatch(["discharge", str(path), "--rules", "rs46"]) == 2
+    assert "requires a connected graph" in capsys.readouterr().err
 
 
 def test_solve_defect_k4(tmp_path, capsys):
@@ -86,6 +88,18 @@ def test_solve_ba_random_cover_with_output(tmp_path, capsys):
                          "--order"]) == 0
 
 
+def test_solve_json_cover_records_the_cover_k(tmp_path):
+    # with --cover json the cover file sets k, whatever --k says
+    g_path, c_path, t_path = tmp_path / "k4.pg", tmp_path / "c.json", tmp_path / "t.json"
+    assert cli_dispatch(["gen", "k4", "-o", str(g_path)]) == 0
+    c_path.write_text(json.dumps(cover_doc(identity_cover(generate("k4"), 5))))
+    assert cli_dispatch(["solve", str(g_path), "--mode", "ba", "--cover", "json",
+                         "--cover-json", str(c_path), "--json", str(t_path)]) == 0
+    doc = json.loads(t_path.read_text())
+    assert doc["k"] == doc["cover"]["k"] == 5
+    assert cli_dispatch(["verify", str(g_path), "--transversal", str(t_path)]) == 0
+
+
 def test_solve_exhausted_exit(tmp_path):
     path = tmp_path / "d.pg"
     cli_dispatch(["gen", "dodecahedron", "-o", str(path)])
@@ -106,7 +120,7 @@ def test_verify_paper_cover_rejects(tmp_path, capsys):
         "k": 1,
         "assignment": {"0": 1, "1": 2, "2": 1},
         "order": [[0, 1], [2, 1], [1, 2]],
-        "cover": json.loads(cover_to_json(cover, include_graph=False)),
+        "cover": cover_doc(cover),
     }
     t_path.write_text(json.dumps(doc))
     code = cli_dispatch(["verify", str(g_path), "--transversal", str(t_path),

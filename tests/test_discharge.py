@@ -63,7 +63,7 @@ def test_transfer_amounts_are_rule_constants(catalog):
     for g in catalog.values():
         for ruleset in (RuleSet.RS48, RuleSet.RS46):
             ledger = run_rules(g, ruleset)
-            allowed = ruleset.allowed_amounts
+            allowed = RULES[ruleset].amounts
             for t in ledger.transfers:
                 if t.rule != "R6":
                     assert t.amount in allowed
@@ -77,17 +77,17 @@ def test_transfers_match_their_table_row(catalog, ruleset):
         for t in run_rules(g, ruleset).transfers:
             source, target = int(t.source[1:]), int(t.target[1:])
             if t.phase == 2:
-                assert t.rule == table.drain_rule and cls.is_special(target), (name, t)
+                assert t.rule == table.drain_rule and target in cls.special, (name, t)
             elif t.source.startswith("v"):
                 assert (t.rule, t.amount) == table.vertex_rule, (name, t)
-                assert g.degree(source) >= 5 and cls.is_bad(target), (name, t)
+                assert g.degree(source) >= 5 and target in cls.bad3, (name, t)
             elif t.target.startswith("f"):
                 assert (t.rule, t.amount) == table.triangle_rule, (name, t)
                 assert g.faces[source].degree >= 5 and g.faces[target].degree == 3
             else:
                 band = table.band(g.faces[source].degree)
-                assert cls.is_good(target) or cls.is_bad(target), (name, t)
-                expected = band.good if cls.is_good(target) else band.bad
+                assert target in cls.good3 or target in cls.bad3, (name, t)
+                expected = band.good if target in cls.good3 else band.bad
                 assert (t.rule, t.amount) == (band.rule, expected), (name, t)
 
 

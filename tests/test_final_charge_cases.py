@@ -37,10 +37,10 @@ def test_beta_family_lower_bound(name, graph, fid):
     f = graph.faces[fid]
     cls = classify_vertices(graph)
     # the lemma's hypotheses, mechanized
-    assert any(cls.is_special(v) for v in f.vertex_set)
+    assert any(v in cls.special for v in f.vertex_set)
     tris = [x for x in graph.adjacent_faces(f) if x.degree == 3]
     assert len(tris) == 1
     threes = [v for v in f.vertex_set if graph.degree(v) == 3]
-    bads = [v for v in threes if cls.is_bad(v)]
+    bads = [v for v in threes if v in cls.bad3]
     assert len(threes) <= 2 or (len(threes) == 3 and len(bads) >= 2)
     assert beta(graph, f) >= Fraction(1, 3)

@@ -2,14 +2,15 @@
 
 Face adjacency comes from dart reversal, the hypothesis witnesses from
 an early-exit cycle search, and the audit looks reducible configurations
-up by vertex; each is checked here against a plain rescan.  The
-hypothesis report and the vertex classification are computed once per
-graph.
+up by vertex; each is checked here against a plain rescan.  Each
+forbidden-cycle length is searched once per graph, and the vertex
+classification is computed once per graph.
 """
 
 import pytest
 
 from dpcharge.catalog import DEFAULT_CATALOG, generate
+from dpcharge import structure
 from dpcharge.cycles import cycles_of_length, find_cycle
 from dpcharge.discharge import RuleSet, audit, run_rules
 from dpcharge.structure import Profile, check_profile, classify_vertices, find_reducible
@@ -28,8 +29,8 @@ def graph(request):
 @pytest.mark.parametrize("k", range(3, 9))
 def test_find_cycle_is_first_enumerated(graph, k):
     listed = cycles_of_length(graph, k)
-    assert list(listed.cycles) == sorted(listed.cycles)
-    assert find_cycle(graph, k) == (listed.cycles[0] if listed else None)
+    assert list(listed) == sorted(listed)
+    assert find_cycle(graph, k) == (listed[0] if listed else None)
 
 
 def _edges(face):
@@ -43,13 +44,33 @@ def test_adjacent_faces_match_shared_edges(graph):
 
 
 @pytest.mark.parametrize("profile", list(Profile))
-def test_check_profile_computed_once(graph, profile):
+def test_check_profile_computed_once(graph, profile, monkeypatch):
     first = check_profile(graph, profile)
-    assert check_profile(graph, profile) is first
+    searched = []
+    monkeypatch.setattr(structure, "find_cycle", lambda g, k: searched.append(k))
+    assert check_profile(graph, profile) == first
+    assert not searched
     four = cycles_of_length(graph, 4)
     other = cycles_of_length(graph, profile.forbidden_lengths[1])
-    assert first.four_cycle == (four.cycles[0] if four else None)
-    assert first.other_cycle == (other.cycles[0] if other else None)
+    assert first.four_cycle == (four[0] if four else None)
+    assert first.other_cycle == (other[0] if other else None)
+
+
+def test_each_cycle_length_searched_once_per_graph(monkeypatch):
+    searched = []
+
+    def counted(g, k):
+        searched.append(k)
+        return find_cycle(g, k)
+
+    monkeypatch.setattr(structure, "find_cycle", counted)
+    for name in GRAPHS:
+        g = generate(name)
+        searched.clear()
+        no48 = check_profile(g, Profile.NO48)
+        no46 = check_profile(g, Profile.NO46)
+        assert searched == [4, 8, 6], name
+        assert no48.four_cycle == no46.four_cycle == find_cycle(g, 4), name
 
 
 def test_classify_vertices_computed_once(graph):

@@ -13,12 +13,12 @@ def test_hunt_no46_cycles_all_found():
     graphs = [("cycle:5", generate("cycle:5")), ("cycle:7", generate("cycle:7"))]
     report = hunt(Profile.NO46, 3, range(50), graphs)
     assert report.found == 100
-    assert report.clean and not report.exhausted and not report.skipped
+    assert not report.candidates and not report.exhausted and not report.skipped
 
 
 def test_hunt_no48_nine_cycle():
     report = hunt(Profile.NO48, 3, range(50), [("cycle:9", generate("cycle:9"))])
-    assert report.found == 50 and report.clean
+    assert report.found == 50 and not report.candidates
 
 
 def test_hunt_skips_profile_violations():

@@ -1,0 +1,58 @@
+"""The input readers cost time linear in the input size.
+
+Each reader runs on a cycle:N input at N = 2,000 and at N = 16,000, the
+best of five runs with the cyclic garbage collector paused.  Eight times
+the input should take about eight times as long; a quadratic reader
+would take about 64 times as long, so a ratio below 20 tells them apart
+with room for timing noise.
+"""
+
+import gc
+import time
+
+import pytest
+
+from dpcharge.catalog import generate
+from dpcharge.cover import cover_from_json, cover_to_json, random_cover
+from dpcharge.rotfile import RotationFileError, parse_rotation_file, serialize_rotation_file
+
+SIZES = (2_000, 16_000)
+
+
+def _rotation_text(n: int) -> str:
+    return serialize_rotation_file(generate(f"cycle:{n}"), "ring")
+
+
+def _last_line_defect(n: int) -> str:
+    # the file is well formed up to its last line, whose last token is bad
+    head, _ = _rotation_text(n).rstrip("\n").rsplit("\n", 1)
+    return f"{head}\nv {n - 1}: {n - 2} x\n"
+
+
+def _parse_rejected(text: str) -> None:
+    with pytest.raises(RotationFileError, match="bad neighbor token 'x'"):
+        parse_rotation_file(text)
+
+
+def _best_seconds(read, text: str) -> float:
+    times = []
+    for _ in range(5):
+        gc.collect()
+        gc.disable()
+        try:
+            start = time.perf_counter()
+            read(text)
+            times.append(time.perf_counter() - start)
+        finally:
+            gc.enable()
+    return min(times)
+
+
+@pytest.mark.parametrize("read,make", [
+    (parse_rotation_file, _rotation_text),
+    (cover_from_json, lambda n: cover_to_json(random_cover(generate(f"cycle:{n}"), 3, 0, True))),
+    (_parse_rejected, _last_line_defect),
+], ids=["parse_rotation_file", "cover_from_json", "defect-on-last-line"])
+def test_reader_time_is_linear_in_input_size(read, make):
+    small, large = (_best_seconds(read, make(n)) for n in SIZES)
+    assert large / small < 20, (small, large)

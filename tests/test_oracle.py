@@ -9,7 +9,7 @@ from dpcharge.planegraph import build_plane_graph
 from dpcharge.solver import DefectVector, find_ba, find_defective_dp
 
 EDGE = build_plane_graph({0: [1], 1: [0]})
-D022 = DefectVector.of(0, 2, 2)
+D022 = DefectVector((0, 2, 2))
 
 
 def test_all_single_edge_covers_agree():

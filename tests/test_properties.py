@@ -2,12 +2,13 @@
 
 import json
 from itertools import product
+from math import comb, factorial
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from dpcharge.catalog import generate
-from dpcharge.cover import (count_matchings, cover_from_json, cover_to_json,
+from dpcharge.cover import (cover_doc, cover_from_json, cover_to_json,
                             enumerate_covers, identity_cover, random_cover,
                             validate_cover)
 from dpcharge.cycles import cycles_of_length
@@ -108,7 +109,7 @@ def test_single_edge_matching_count_closed_form():
     edge = build_plane_graph({0: [1], 1: [0]})
     for k in (1, 2, 3):
         enumerated = sum(1 for _ in enumerate_covers(edge, k, 5))
-        assert enumerated == count_matchings(k)
+        assert enumerated == sum(comb(k, j) ** 2 * factorial(j) for j in range(k + 1))
 
 
 # -- cover JSON: the input boundary -------------------------------------
@@ -120,7 +121,7 @@ JSON_VALUES = st.recursive(
                                                               max_size=4),
     max_leaves=12)
 THETA = generate("theta:1,2,2")
-VALID_COVER = json.loads(cover_to_json(random_cover(THETA, 3, 5, False), include_graph=False))
+VALID_COVER = cover_doc(random_cover(THETA, 3, 5, False))
 N = THETA.vertex_count
 # keys as they could be spelled: canonical, reversed, self-loops, non-edges,
 # out-of-range vertices and malformed text
@@ -143,7 +144,7 @@ def _load_then_validate(doc) -> None:
     if report.valid:
         assert all(u < v and THETA.has_edge(u, v) for u, v in cover.matchings)
         *_, adj = cover.node_graph  # every matched pair is one cover edge
-        assert sum(map(len, adj)) == 2 * cover.edge_total()
+        assert sum(map(len, adj)) == 2 * sum(map(len, cover.matchings.values()))
 
 
 @given(doc=JSON_VALUES | st.fixed_dictionaries(

@@ -28,54 +28,54 @@ def paper_cover() -> Cover:
 
 def test_verify_defective_k3_proper():
     report = verify_defective(identity_cover(K3, 3), {0: 1, 1: 2, 2: 3},
-                              DefectVector.of(0, 0, 0))
+                              DefectVector((0, 0, 0)))
     assert report.passed
 
 
 def test_verify_defective_star_overload():
     report = verify_defective(identity_cover(STAR3, 3),
-                              {0: 2, 1: 2, 2: 2, 3: 2}, DefectVector.of(0, 2, 2))
+                              {0: 2, 1: 2, 2: 2, 3: 2}, DefectVector((0, 2, 2)))
     assert not report.passed
     assert (0, 2, 3, 2) in report.violations  # center: degree 3 > budget 2
 
 
 def test_verify_defective_single_edge_color1():
     report = verify_defective(identity_cover(EDGE, 3), {0: 1, 1: 1},
-                              DefectVector.of(0, 2, 2))
+                              DefectVector((0, 2, 2)))
     assert not report.passed
 
 
 def test_verify_defective_rejects_non_transversal():
     with pytest.raises(ValueError, match="transversal"):
-        verify_defective(identity_cover(EDGE, 3), {0: 1}, DefectVector.of(0, 2, 2))
+        verify_defective(identity_cover(EDGE, 3), {0: 1}, DefectVector((0, 2, 2)))
 
 
 def test_find_defective_k4():
-    out = find_defective_dp(identity_cover(generate("k4"), 3), DefectVector.of(0, 2, 2))
+    out = find_defective_dp(identity_cover(generate("k4"), 3), DefectVector((0, 2, 2)))
     assert out.status is SearchStatus.FOUND
 
 
 def test_find_defective_c5_proper():
     out = find_defective_dp(identity_cover(generate("cycle:5"), 3),
-                            DefectVector.of(0, 0, 0))
+                            DefectVector((0, 0, 0)))
     assert out.status is SearchStatus.FOUND
 
 
 def test_find_defective_single_vertex():
     g = build_plane_graph({0: []})
-    out = find_defective_dp(identity_cover(g, 3), DefectVector.of(0, 2, 2))
+    out = find_defective_dp(identity_cover(g, 3), DefectVector((0, 2, 2)))
     assert out.status is SearchStatus.FOUND and out.transversal == {0: 1}
 
 
 def test_find_defective_none_is_definitive():
     # K3 with identity cover cannot be properly 1-colored... use budgets 0
-    out = find_defective_dp(identity_cover(K3, 1), DefectVector.of(0))
+    out = find_defective_dp(identity_cover(K3, 1), DefectVector((0,)))
     assert out.status is SearchStatus.NONE
 
 
 def test_find_defective_budget_exhausted():
     out = find_defective_dp(identity_cover(generate("dodecahedron"), 3),
-                            DefectVector.of(0, 0, 0), node_limit=3)
+                            DefectVector((0, 0, 0)), node_limit=3)
     assert out.status is SearchStatus.EXHAUSTED
 
 

@@ -44,9 +44,9 @@ SEEDS = range(6)
 # k -> (defect budgets, node limits).  Partial k=1 covers of cycle:60
 # backtrack on almost every node and never finish, so they get a
 # smaller second limit.
-CASES = {1: (DefectVector.of(0), (50, 5000)),
-         2: (DefectVector.of(0, 1), (50, 2_000_000)),
-         3: (DefectVector.of(0, 2, 2), (50, 2_000_000))}
+CASES = {1: (DefectVector((0,)), (50, 5000)),
+         2: (DefectVector((0, 1)), (50, 2_000_000)),
+         3: (DefectVector((0, 2, 2)), (50, 2_000_000))}
 DECIDED_LIMIT = 2_000_000
 PADDING = 16
 GADGET_LIMIT = 5000

@@ -15,17 +15,17 @@ def test_dodecahedron_all_bad_none_special():
 def test_figure1_specials():
     g = generate("figure1")
     cls = classify_vertices(g)
-    assert cls.is_special(0)
+    assert 0 in cls.special
     for v in cls.special:
         assert g.degree(v) == 3
-        assert tuple(g.incident_face_degrees(v)) == (3, 5, 6)
+        assert sorted(g.faces[f].degree for f in g.incident_faces(v)) == [3, 5, 6]
 
 
 def test_star_center_is_good():
     g = build_plane_graph({0: [1, 2, 3], 1: [0], 2: [0], 3: [0]})
     cls = classify_vertices(g)
-    assert cls.is_good(0)  # leaves are 1-vertices, not 3-vertices
-    assert not cls.is_bad(0)
+    assert 0 in cls.good3  # leaves are 1-vertices, not 3-vertices
+    assert 0 not in cls.bad3
 
 
 def test_good_bad_partition(catalog):
@@ -38,8 +38,8 @@ def test_good_bad_partition(catalog):
 
 def test_profile_dodecahedron_no48():
     rep = check_profile(generate("dodecahedron"), Profile.NO48)
-    assert rep.four_cycle_free
-    assert not rep.other_cycle_free and len(rep.other_cycle) == 8
+    assert rep.four_cycle is None
+    assert len(rep.other_cycle) == 8
     assert rep.min_degree == 3
     assert not rep.cycles_ok
 
