@@ -16,7 +16,7 @@ from itertools import chain
 
 from .catalog import DEFAULT_CATALOG, generate
 from .cover import (Cover, cover_doc, cover_from_doc, cover_from_json, identity_cover,
-                    random_cover, validate_cover)
+                    random_cover)
 from .discharge import RuleSet, audit, run_rules
 from .hunt import hunt as run_hunt
 from .lemmas import Verdict, check_structural_lemmas, special_vertex_analysis
@@ -24,8 +24,8 @@ from .planegraph import EmbeddingError, PlaneGraph
 from .reporting import (TOOL_VERSION, dump_json, frac_str, frac_texts, input_hash,
                         ledger_to_json, reducible_to_json)
 from .rotfile import RotationFileError, load_rotation_file, serialize_rotation_file
-from .solver import (DefectVector, OrderedTransversal, SearchStatus, find_ba,
-                     find_defective_dp, verify_ba, verify_defective)
+from .solver import (DEFAULT_NODE_LIMIT, DefectVector, OrderedTransversal, SearchStatus,
+                     find_ba, find_defective_dp, verify_ba, verify_defective)
 from .structure import Profile, check_profile, classify_vertices, find_reducible
 
 EXIT_OK = 0
@@ -84,7 +84,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--full", action="store_true", help="random cover: perfect matchings")
     p.add_argument("--cover-json", metavar="PATH", help="cover file for --cover json")
-    p.add_argument("--limit", type=int, default=2_000_000, help="search node budget")
+    p.add_argument("--limit", type=int, default=DEFAULT_NODE_LIMIT, help="search node budget")
     p.add_argument("--json", dest="json_out", metavar="OUT",
                    help="write the transversal (with its cover) for later verify")
 
@@ -101,17 +101,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--profile", choices=["no48", "no46"], required=True)
     p.add_argument("--k", type=int, default=3)
     p.add_argument("--seeds", default="0..9", help="seed range A..B, inclusive")
-    p.add_argument("--limit", type=int, default=2_000_000)
+    p.add_argument("--limit", type=int, default=DEFAULT_NODE_LIMIT)
     p.add_argument("--json", dest="json_out", metavar="OUT")
     p.add_argument("--save-dir", metavar="DIR", help="persist candidate covers here")
     return top
 
 
 def _cmd_gen(args) -> int:
-    try:
-        g = generate(args.name)
-    except ValueError as exc:
-        raise CliError(str(exc))
+    g = generate(args.name)
     text = serialize_rotation_file(g, name=args.name.replace(" ", ""))
     with open(args.output, "w", encoding="utf-8") as fh:
         fh.write(text)
@@ -249,9 +246,6 @@ def _cmd_solve(args) -> int:
     _check_k(args.k)
     g, name = _load(args.file)
     cover = _make_cover(args, g)
-    problems = validate_cover(cover)
-    if not problems.valid:
-        raise CliError("invalid cover: " + "; ".join(problems.violations))
     if args.mode == "defect":
         if not args.defects:
             raise CliError("--mode defect requires --defects d1,d2,...")
@@ -320,9 +314,6 @@ def _cmd_verify(args) -> int:
         assignment = {int(v): c for v, c in doc["assignment"].items()}
     except (KeyError, TypeError, AttributeError) as exc:
         raise CliError(f"malformed transversal: {exc!r}")
-    problems = validate_cover(cover)
-    if not problems.valid:
-        raise CliError("invalid cover: " + "; ".join(problems.violations))
     order, budgets = doc.get("order", []), doc.get("defects", [])
     if not (isinstance(order, list) and all(isinstance(e, list) and len(e) == 2 for e in order)):
         raise CliError("malformed transversal: order must be a list of [vertex, color] pairs")
@@ -332,8 +323,11 @@ def _cmd_verify(args) -> int:
         raise CliError("malformed transversal: colors, order entries and defects must be integers")
     # with no flag given, the recorded order is checked, else the recorded budgets
     check_order = args.order or ("order" in doc and not args.defects)
-    defects = args.defects or ("" if check_order else ",".join(map(str, budgets)))
-    if not (check_order or defects):
+    if args.defects:
+        budgets = args.defects.split(",")
+    elif check_order:
+        budgets = []
+    if not (check_order or budgets):
         raise CliError("nothing to verify: the transversal has no order and no defects; "
                        "pass --order or --defects")
     ok = True
@@ -349,8 +343,8 @@ def _cmd_verify(args) -> int:
             print(f"{name}: condition ({v.condition}) violated at position "
                   f"{v.position}: {v.detail}")
             ok = False
-    if defects:
-        d = DefectVector(tuple(int(x) for x in defects.split(",")))
+    if budgets:  # --defects is parsed only here, after any order verdict is printed
+        d = DefectVector(tuple(map(int, budgets)))
         report = verify_defective(cover, assignment, d)
         if report.passed:
             print(f"{name}: defective budgets respected")
@@ -378,10 +372,7 @@ def _cmd_hunt(args) -> int:
             g, label = _load(name)
             graphs.append((label, g))
         else:
-            try:
-                graphs.append((name, generate(name)))
-            except ValueError as exc:
-                raise CliError(str(exc))
+            graphs.append((name, generate(name)))
     try:
         seeds = _parse_seed_range(args.seeds)
     except ValueError:

@@ -4,9 +4,10 @@ A cover node is a pair (vertex, color).  For each edge uv of the base
 graph the cover holds a matching between the color lists of u and v;
 the cover's edge set is the disjoint union of those matchings.  A
 matching may be partial or empty; worst-case hunting uses perfect
-matchings (full=True).  Matchings are keyed (u, v) with u < v, and
-Cover.node_graph, the cover graph on integer node ids, is built once
-per cover.
+matchings (full=True).  Matchings are keyed (u, v) with u < v.  The
+checkers read cover edges from Cover.edge_matchings, and the search's
+Cover.node_graph is built from it.  A cover read from a document is
+validated there; the ones built here are valid by construction.
 """
 
 from __future__ import annotations
@@ -37,12 +38,20 @@ class Cover:
     provenance: tuple[tuple[str, object], ...] = ()
 
     @cached_property
+    def edge_matchings(self) -> tuple[tuple[int, int, tuple[Pair, ...]], ...]:
+        """The matchings that define cover edges, as (u, v, pairs) in key
+        order: those whose key (u, v) has u < v and is a base edge (graph.edges
+        holds each base edge so).  A pair counts only between listed colors."""
+        return tuple((u, v, pairs) for (u, v), pairs in sorted(self.matchings.items())
+                     if (u, v) in self.graph.edges)
+
+    @cached_property
     def node_graph(self) -> tuple:
-        """(vert, color, own, ids, adj), built on first use.  Node i is
-        (vert[i], color[i]), numbered vertex by vertex in list order; own[v]
-        holds v's ids, ids inverts the numbering, and adj[i] lists i's
-        neighbors by base vertex, then by position in the matching.  Only
-        keys (u, v) with u < v on a base edge, between listed colors, count."""
+        """(vert, color, own, adj), the cover graph on integer node ids,
+        built on first use for the search.  Node i is (vert[i], color[i]),
+        numbered vertex by vertex in list order; own[v] holds v's ids, and
+        adj[i] lists i's neighbors by base vertex, then by position in the
+        matching."""
         vert, color, own, by_color = [], [], [], []
         for v in self.graph.vertices():
             lst = self.lists[v]
@@ -50,24 +59,17 @@ class Cover:
             by_color.append(dict(zip(lst, own[-1])))  # color -> id at v
             vert.extend([v] * len(lst))
             color.extend(lst)
-        ids = dict(zip(zip(vert, color), range(len(vert))))
-        edges = self.graph.edges
         adj: list[list[int]] = [[] for _ in vert]
-        for (u, v), pairs in sorted(self.matchings.items()):
-            if u < v and (u, v) in edges:
-                at_u, at_v = by_color[u], by_color[v]
-                for a, b in pairs:
-                    try:
-                        p, q = at_u[a], at_v[b]
-                    except KeyError:  # an unlisted color: not a cover edge
-                        continue
-                    adj[p].append(q)
-                    adj[q].append(p)
-        return tuple(vert), tuple(color), tuple(own), ids, tuple(map(tuple, adj))
-
-    def neighbors_in_cover(self, node: Node) -> list[Node]:
-        vert, color, _, ids, adj = self.node_graph
-        return [(vert[q], color[q]) for q in adj[ids[node]]]
+        for u, v, pairs in self.edge_matchings:
+            at_u, at_v = by_color[u], by_color[v]
+            for a, b in pairs:
+                try:
+                    p, q = at_u[a], at_v[b]
+                except KeyError:  # an unlisted color: not a cover edge
+                    continue
+                adj[p].append(q)
+                adj[q].append(p)
+        return tuple(vert), tuple(color), tuple(own), tuple(map(tuple, adj))
 
 
 def identity_cover(graph: PlaneGraph, k: int) -> Cover:
@@ -227,13 +229,13 @@ def cover_to_json(cover: Cover) -> str:
 
 
 def cover_from_json(text: str, graph: PlaneGraph | None = None) -> Cover:
-    """Parse a cover document; a malformed one raises ValueError."""
+    """Parse a cover document; a malformed or invalid one raises ValueError."""
     return cover_from_doc(json.loads(text), graph)
 
 
 def cover_from_doc(doc: object, graph: PlaneGraph | None = None) -> Cover:
-    """Build a cover from a parsed cover document; a malformed one raises
-    ValueError."""
+    """Build a cover from a parsed cover document.  A malformed one, or
+    one that fails validate_cover, raises ValueError."""
     from .rotfile import parse_rotation_file
 
     if not (isinstance(doc, dict) and {"k", "lists", "matchings"} <= doc.keys()):
@@ -255,4 +257,8 @@ def cover_from_doc(doc: object, graph: PlaneGraph | None = None) -> Cover:
     numbers = chain([doc["k"]], *lists, *chain.from_iterable(matchings.values()))
     if not set(map(type, numbers)) <= {int}:  # bool is an int subclass, not a JSON number
         raise ValueError("cover JSON: k and every color must be integers")
-    return Cover(graph, doc["k"], lists, matchings, prov)
+    cover = Cover(graph, doc["k"], lists, matchings, prov)
+    problems = validate_cover(cover)
+    if not problems.valid:
+        raise ValueError("invalid cover: " + "; ".join(problems.violations))
+    return cover

@@ -23,7 +23,7 @@ from .cover import cover_from_json, cover_to_json, random_cover
 from .planegraph import PlaneGraph
 from .reporting import TOOL_VERSION, input_hash
 from .rotfile import serialize_rotation_file
-from .solver import BAOutcome, SearchStatus, find_ba
+from .solver import DEFAULT_NODE_LIMIT, BAOutcome, SearchStatus, find_ba
 from .structure import Profile, check_profile
 
 
@@ -67,13 +67,13 @@ class HuntReport:
         }
 
 
-def replay_cover(cover_json: str, node_limit: int = 2_000_000) -> BAOutcome:
+def replay_cover(cover_json: str, node_limit: int = DEFAULT_NODE_LIMIT) -> BAOutcome:
     """Re-run the solver on a serialized cover."""
     return find_ba(cover_from_json(cover_json), node_limit=node_limit)
 
 
 def hunt(profile: Profile, k: int, seeds: range | list[int],
-         graphs: list[tuple[str, PlaneGraph]], node_limit: int = 2_000_000,
+         graphs: list[tuple[str, PlaneGraph]], node_limit: int = DEFAULT_NODE_LIMIT,
          threads: int = 1, command: str | None = None) -> HuntReport:
     seed_list = tuple(seeds)
     if command is None:

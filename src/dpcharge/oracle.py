@@ -12,7 +12,8 @@ from itertools import product
 
 from .cover import Cover, Node
 from .solver import (BAOutcome, DefectOutcome, DefectVector, OrderedTransversal,
-                     SearchStatus, verify_ba, verify_defective)
+                     SearchStatus, Transversal, induced_neighbors, verify_ba,
+                     verify_defective)
 
 SIZE_GUARD = 7
 
@@ -36,10 +37,11 @@ def brute_defective(cover: Cover, d: DefectVector) -> DefectOutcome:
     return DefectOutcome(SearchStatus.NONE, None, checked)
 
 
-def _orderable(cover: Cover, nodes: list[Node]) -> tuple[Node, ...] | None:
+def _orderable(cover: Cover, t: Transversal) -> tuple[Node, ...] | None:
     """First valid placement order of the given transversal, if any."""
+    nodes = [(v, t[v]) for v in cover.graph.vertices()]
     adj: dict[Node, set[Node]] = {
-        x: set(cover.neighbors_in_cover(x)) & set(nodes) for x in nodes}
+        (v, t[v]): {(w, t[w]) for w in ws} for v, ws in induced_neighbors(cover, t).items()}
     order: list[Node] = []
     placed: set[Node] = set()
 
@@ -79,7 +81,7 @@ def brute_ba(cover: Cover) -> BAOutcome:
     for combo in product(*(cover.lists[v] for v in verts)):
         t = dict(zip(verts, combo))
         checked += 1
-        order = _orderable(cover, [(v, t[v]) for v in verts])
+        order = _orderable(cover, t)
         if order is not None:
             ot = OrderedTransversal(t, order)
             assert verify_ba(cover, ot).passed

@@ -34,6 +34,7 @@ from typing import Mapping, Sequence
 from .cover import Cover, Node
 
 Transversal = Mapping[int, int]  # vertex -> chosen color
+DEFAULT_NODE_LIMIT = 2_000_000  # placements a search may make by default
 
 
 class SearchStatus(Enum):
@@ -68,14 +69,16 @@ def _check_transversal(cover: Cover, t: Transversal) -> None:
             raise ValueError(f"not a transversal: color {c} not in list of vertex {v}")
 
 
-def induced_degrees(cover: Cover, t: Transversal) -> dict[int, int]:
-    """Degree of each chosen node in the cover subgraph induced by t."""
-    deg = {v: 0 for v in t}
-    for (u, v), pairs in cover.matchings.items():
+def induced_neighbors(cover: Cover, t: Transversal) -> dict[int, list[int]]:
+    """For each vertex v, the vertices whose chosen nodes are adjacent to
+    (v, t[v]) in the cover, in increasing order; read from
+    cover.edge_matchings, not from the search's node graph."""
+    nbrs: dict[int, list[int]] = {v: [] for v in t}
+    for u, v, pairs in cover.edge_matchings:
         if (t[u], t[v]) in pairs:
-            deg[u] += 1
-            deg[v] += 1
-    return deg
+            nbrs[u].append(v)
+            nbrs[v].append(u)
+    return nbrs
 
 
 @dataclass(frozen=True)
@@ -88,7 +91,7 @@ class DefectReport:
 def verify_defective(cover: Cover, t: Transversal, d: DefectVector) -> DefectReport:
     """Check deg(v, c) <= d_c for every chosen node (v, c)."""
     _check_transversal(cover, t)
-    deg = induced_degrees(cover, t)
+    deg = {v: len(ws) for v, ws in induced_neighbors(cover, t).items()}
     violations = []
     for v in sorted(t):
         c = t[v]
@@ -142,7 +145,7 @@ def _search(cover: Cover, lim: Sequence[int], sat: Sequence[int],
     n = cover.graph.vertex_count
     dynamic = fixed is None
     charge = n > 20
-    vert, _, own, _, adj = cover.node_graph
+    vert, _, own, adj = cover.node_graph
     at = [-1] * n  # placed node of each vertex, -1 while unplaced
     cnt = [0] * len(vert)  # placed neighbors of each node
     blk = [0] * len(vert)  # saturated placed neighbors of each node
@@ -301,7 +304,8 @@ def _search(cover: Cover, lim: Sequence[int], sat: Sequence[int],
     return status, order, expanded
 
 
-def find_defective_dp(cover: Cover, d: DefectVector, node_limit: int = 2_000_000) -> DefectOutcome:
+def find_defective_dp(cover: Cover, d: DefectVector,
+                      node_limit: int = DEFAULT_NODE_LIMIT) -> DefectOutcome:
     """Search for a defective DP-coloring with forward checking.
 
     Vertices are assigned highest-degree-first (ties by id), each one's
@@ -362,30 +366,29 @@ def verify_ba(cover: Cover, ot: OrderedTransversal) -> BAReport:
     For the node at position p with color c: c = 1 requires no neighbor
     among positions < p; otherwise at most one such neighbor w, and w
     must have at most one neighbor among positions < p.  The violation
-    reported is the first one in order.  Reads only the node ids of
-    cover.node_graph, so it shares no state with the search.
+    reported is the first one in order.  Reads the matchings through
+    induced_neighbors, so it shares no state with the search.
     """
-    _check_transversal(cover, ot.assignment)
-    vert, color, _, ids, adj = cover.node_graph
-    placed = [False] * len(vert)
-    is_placed = placed.__getitem__
+    t = ot.assignment
+    _check_transversal(cover, t)
+    nbrs = induced_neighbors(cover, t)
+    placed: set[int] = set()
     for p, node in enumerate(ot.order):
-        x = ids[node]
-        lefts = list(filter(is_placed, adj[x]))
+        lefts = [w for w in nbrs[node[0]] if w in placed]
         if lefts:
             w = lefts[0]
             if node[1] == 1:
                 return BAReport(False, BAViolation(
-                    1, node, p, f"color-1 node {node} has left neighbor {(vert[w], color[w])}"))
+                    1, node, p, f"color-1 node {node} has left neighbor {(w, t[w])}"))
             if len(lefts) > 1:
                 return BAReport(False, BAViolation(
                     2, node, p, f"node {node} has {len(lefts)} left neighbors"))
-            load = sum(map(is_placed, adj[w]))
+            load = sum(x in placed for x in nbrs[w])
             if load > 1:
                 return BAReport(False, BAViolation(
-                    2, node, p, f"left neighbor {(vert[w], color[w])} of {node} is "
+                    2, node, p, f"left neighbor {(w, t[w])} of {node} is "
                                 f"adjacent to {load} nodes left of it"))
-        placed[x] = True
+        placed.add(node[0])
     return BAReport(True, None)
 
 
@@ -396,7 +399,7 @@ class BAOutcome:
     nodes_expanded: int
 
 
-def find_ba(cover: Cover, node_limit: int = 2_000_000) -> BAOutcome:
+def find_ba(cover: Cover, node_limit: int = DEFAULT_NODE_LIMIT) -> BAOutcome:
     """Depth-first search for a B_A coloring; placement order is the
     left-to-right order.
 
@@ -430,21 +433,14 @@ def structure_of_transversal(cover: Cover, t: Transversal) -> TransversalStructu
     """Necessary conditions for a B_A coloring: the induced cover
     subgraph is a linear forest and the color-1 class is independent."""
     _check_transversal(cover, t)
-    nodes = [(v, c) for v, c in t.items()]
-    edges = []
-    for (u, v), pairs in cover.matchings.items():
-        if (t[u], t[v]) in pairs:
-            edges.append(((u, t[u]), (v, t[v])))
-    deg: dict[Node, int] = {x: 0 for x in nodes}
-    for a, b in edges:
-        deg[a] += 1
-        deg[b] += 1
-    linear = all(d <= 2 for d in deg.values())
+    nbrs = induced_neighbors(cover, t)
+    edges = [(u, v) for u, ws in nbrs.items() for v in ws if u < v]
+    linear = all(len(ws) <= 2 for ws in nbrs.values())
     if linear:
         # acyclic iff every component has fewer edges than vertices
-        parent = {x: x for x in nodes}
+        parent = {v: v for v in t}
 
-        def find(x: Node) -> Node:
+        def find(x: int) -> int:
             while parent[x] != x:
                 parent[x] = parent[parent[x]]
                 x = parent[x]
@@ -456,5 +452,5 @@ def structure_of_transversal(cover: Cover, t: Transversal) -> TransversalStructu
                 linear = False
                 break
             parent[ra] = rb
-    color1 = not any(a[1] == 1 and b[1] == 1 for a, b in edges)
+    color1 = not any(t[u] == 1 and t[v] == 1 for u, v in edges)
     return TransversalStructure(linear, color1)

@@ -29,6 +29,17 @@ def test_gen_unknown_name(tmp_path):
     assert cli_dispatch(["gen", "nonesuch", "-o", str(tmp_path / "x.pg")]) == 2
 
 
+@pytest.mark.parametrize("argv", [["gen", "nosuch", "-o", "x.pg"],
+                                  ["hunt", "nosuch", "--profile", "no48"]],
+                         ids=["gen", "hunt"])
+def test_unknown_catalog_name_message(tmp_path, monkeypatch, capsys, argv):
+    monkeypatch.chdir(tmp_path)
+    assert cli_dispatch(argv) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", "error: unknown catalog graph 'nosuch'\n")
+    assert not (tmp_path / "x.pg").exists()
+
+
 def test_missing_file_is_usage_error():
     assert cli_dispatch(["faces", "/no/such/file.pg"]) == 2
 
@@ -257,6 +268,19 @@ def test_verify_invalid_cover_is_usage_error(tmp_path, capsys, edit, violation):
     assert code == 2
     err = capsys.readouterr().err
     assert "invalid cover" in err and violation in err
+
+
+def test_verify_reports_an_invalid_cover_before_a_malformed_assignment(tmp_path, capsys):
+    t_path = _solved_transversal(tmp_path, "cycle:5")
+    doc = json.loads(t_path.read_text())
+    doc["cover"]["k"] = 0
+    doc["assignment"] = []
+    t_path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    code = cli_dispatch(["verify", str(tmp_path / "solved.pg"), "--transversal", str(t_path)])
+    captured = capsys.readouterr()
+    assert code == 2 and not captured.out
+    assert captured.err == "error: invalid cover: k must be at least 1, got 0\n"
 
 
 @pytest.mark.parametrize("k", [0, -1])

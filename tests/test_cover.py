@@ -9,7 +9,7 @@ from dpcharge.cover import (Cover, cover_doc, cover_from_json, cover_to_json,
                             enumerate_covers, identity_cover, random_cover,
                             validate_cover)
 from dpcharge.planegraph import build_plane_graph
-from dpcharge.solver import induced_degrees
+from dpcharge.solver import induced_neighbors
 
 EDGE = build_plane_graph({0: [1], 1: [0]})
 K3 = build_plane_graph({0: [1, 2], 1: [2, 0], 2: [0, 1]})
@@ -115,7 +115,8 @@ def test_cover_json_round_trip():
 
 def test_neighbors_in_cover():
     c = identity_cover(K3, 2)
-    assert set(c.neighbors_in_cover((0, 1))) == {(1, 1), (2, 1)}
+    assert induced_neighbors(c, {0: 1, 1: 1, 2: 1}) == {0: [1, 2], 1: [0, 2], 2: [0, 1]}
+    assert induced_neighbors(c, {0: 1, 1: 2, 2: 1}) == {0: [2], 1: [], 2: [0]}
 
 
 def test_validate_reports_non_canonical_keys():
@@ -153,13 +154,20 @@ def neighbors_by_definition(cover, node):
     return out
 
 
+def node_graph_neighbors(cover, node):
+    """Cover neighbors of node read from cover.node_graph."""
+    vert, color, own, adj = cover.node_graph
+    v, c = node
+    return [(vert[q], color[q]) for q in adj[own[v][cover.lists[v].index(c)]]]
+
+
 def assert_node_graph_matches_definition(cover):
-    vert, color, own, ids, _ = cover.node_graph
+    vert, color, own, _ = cover.node_graph
     nodes = [(v, c) for v in cover.graph.vertices() for c in cover.lists[v]]
     assert list(zip(vert, color)) == nodes
-    assert [ids[x] for x in nodes] == [i for r in own for i in r] == list(range(len(nodes)))
+    assert [i for r in own for i in r] == list(range(len(nodes)))
     for node in nodes:
-        assert cover.neighbors_in_cover(node) == neighbors_by_definition(cover, node)
+        assert node_graph_neighbors(cover, node) == neighbors_by_definition(cover, node)
 
 
 @pytest.mark.parametrize("graph", [EDGE, P3], ids=["edge", "p3"])
@@ -179,14 +187,16 @@ def test_node_graph_of_random_catalog_covers(name):
                 cover = random_cover(g, k, seed, full)
                 assert_node_graph_matches_definition(cover)
                 t = {v: rng.choice(cover.lists[v]) for v in g.vertices()}
-                vert, color, _, ids, adj = cover.node_graph
-                from_graph = {v: sum(t[vert[q]] == color[q] for q in adj[ids[(v, c)]])
-                              for v, c in t.items()}
-                assert induced_degrees(cover, t) == from_graph
+                from_graph = {v: [w for w, c in node_graph_neighbors(cover, (v, t[v]))
+                                  if t[w] == c] for v in t}
+                assert induced_neighbors(cover, t) == from_graph
 
 
 def test_node_graph_skips_entries_that_are_not_cover_edges():
-    # a reversed key, a non-edge and an unlisted color give no edge
+    # a reversed key, a non-edge and an unlisted color give no edge, in the
+    # search's node graph and in the checkers' reading of the matchings alike
     c = Cover(P3, 1, ((1,), (1,), (1,)),
               {(1, 0): ((1, 1),), (0, 2): ((1, 1),), (1, 2): ((1, 1), (2, 1))})
-    assert [c.neighbors_in_cover((v, 1)) for v in range(3)] == [[], [(2, 1)], [(1, 1)]]
+    assert c.edge_matchings == ((1, 2, ((1, 1), (2, 1))),)
+    assert [node_graph_neighbors(c, (v, 1)) for v in range(3)] == [[], [(2, 1)], [(1, 1)]]
+    assert induced_neighbors(c, {0: 1, 1: 1, 2: 1}) == {0: [], 1: [2], 2: [1]}

@@ -1,6 +1,7 @@
-"""The input readers cost time linear in the input size.
+"""The input readers and the transversal checkers cost time linear in the
+input size.
 
-Each reader runs on a cycle:N input at N = 2,000 and at N = 16,000, the
+Each one runs on a cycle:N input at N = 2,000 and at N = 16,000, the
 best of five runs with the cyclic garbage collector paused.  Eight times
 the input should take about eight times as long; a quadratic reader
 would take about 64 times as long, so a ratio below 20 tells them apart
@@ -9,12 +10,14 @@ with room for timing noise.
 
 import gc
 import time
+from dataclasses import replace
 
 import pytest
 
 from dpcharge.catalog import generate
-from dpcharge.cover import cover_from_json, cover_to_json, random_cover
+from dpcharge.cover import cover_from_json, cover_to_json, identity_cover, random_cover
 from dpcharge.rotfile import RotationFileError, parse_rotation_file, serialize_rotation_file
+from dpcharge.solver import DefectVector, OrderedTransversal, verify_ba, verify_defective
 
 SIZES = (2_000, 16_000)
 
@@ -34,14 +37,14 @@ def _parse_rejected(text: str) -> None:
         parse_rotation_file(text)
 
 
-def _best_seconds(read, text: str) -> float:
+def _best_seconds(read, arg) -> float:
     times = []
     for _ in range(5):
         gc.collect()
         gc.disable()
         try:
             start = time.perf_counter()
-            read(text)
+            read(arg)
             times.append(time.perf_counter() - start)
         finally:
             gc.enable()
@@ -55,4 +58,30 @@ def _best_seconds(read, text: str) -> float:
 ], ids=["parse_rotation_file", "cover_from_json", "defect-on-last-line"])
 def test_reader_time_is_linear_in_input_size(read, make):
     small, large = (_best_seconds(read, make(n)) for n in SIZES)
+    assert large / small < 20, (small, large)
+
+
+def _path_transversal(n: int):
+    """cycle:n under the identity cover, vertex 0 colored 3 and the rest 2,
+    in vertex order: the chosen nodes induce a path, and both checks pass."""
+    g = generate(f"cycle:{n}")
+    t = {v: 2 if v else 3 for v in g.vertices()}
+    return identity_cover(g, 3), OrderedTransversal(t, tuple(t.items()))
+
+
+# each check gets a fresh copy of the cover, so nothing it derives is cached
+def _verify_order(case) -> None:
+    cover, ot = case
+    assert verify_ba(replace(cover), ot).passed
+
+
+def _verify_budgets(case) -> None:
+    cover, ot = case
+    assert verify_defective(replace(cover), ot.assignment, DefectVector((0, 2, 2))).passed
+
+
+@pytest.mark.parametrize("check", [_verify_order, _verify_budgets],
+                         ids=["verify_ba", "verify_defective"])
+def test_checker_time_is_linear_in_input_size(check):
+    small, large = (_best_seconds(check, _path_transversal(n)) for n in SIZES)
     assert large / small < 20, (small, large)

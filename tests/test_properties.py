@@ -132,7 +132,7 @@ PAIRS = st.lists(st.lists(st.integers(0, 4), min_size=2, max_size=2), max_size=4
 
 
 def _load_then_validate(doc) -> None:
-    """Only ValueError escapes, and no accepted cover has a non-canonical key."""
+    """Only ValueError escapes, and every accepted cover is valid."""
     if not (isinstance(doc, dict) and isinstance(doc.get("graph"), str)):
         with pytest.raises(ValueError):  # no graph, embedded or supplied
             cover_from_json(json.dumps(doc))
@@ -140,11 +140,10 @@ def _load_then_validate(doc) -> None:
         cover = cover_from_json(json.dumps(doc), graph=THETA)
     except ValueError:
         return
-    report = validate_cover(cover)
-    if report.valid:
-        assert all(u < v and THETA.has_edge(u, v) for u, v in cover.matchings)
-        *_, adj = cover.node_graph  # every matched pair is one cover edge
-        assert sum(map(len, adj)) == 2 * sum(map(len, cover.matchings.values()))
+    assert validate_cover(cover).valid
+    assert all(u < v and THETA.has_edge(u, v) for u, v in cover.matchings)
+    *_, adj = cover.node_graph  # every matched pair is one cover edge
+    assert sum(map(len, adj)) == 2 * sum(map(len, cover.matchings.values()))
 
 
 @given(doc=JSON_VALUES | st.fixed_dictionaries(
@@ -182,4 +181,5 @@ def test_cover_json_reversed_duplicated_and_non_edge_keys(keys, pairs):
         doc["matchings"][f"{u}-{v}"] = pairs
     _load_then_validate(doc)
     if any(not (u < v and THETA.has_edge(u, v)) for u, v in keys):
-        assert not validate_cover(cover_from_json(json.dumps(doc), graph=THETA)).valid
+        with pytest.raises(ValueError, match="^invalid cover: "):
+            cover_from_json(json.dumps(doc), graph=THETA)

@@ -6,12 +6,14 @@ import pytest
 
 from dpcharge.cover import Cover, identity_cover, random_cover
 from dpcharge.catalog import generate
-from dpcharge.oracle import brute_ba
+from dpcharge.oracle import brute_ba, brute_defective
 from dpcharge.planegraph import build_plane_graph
 from dpcharge.solver import (BAReport, BAViolation, DefectVector, OrderedTransversal, SearchStatus,
                              find_ba, find_defective_dp,
                              structure_of_transversal, verify_ba,
                              verify_defective)
+
+from test_cover import neighbors_by_definition
 
 EDGE = build_plane_graph({0: [1], 1: [0]})
 P3 = build_plane_graph({0: [1], 1: [0, 2], 2: [1]})
@@ -164,6 +166,61 @@ def test_structure_independent_transversal():
     assert s.is_linear_forest and s.color1_independent
 
 
+# -- one reading of the cover edges -------------------------------------
+
+
+def not_cover_edges_p3() -> Cover:
+    """P3 with k = 1 and three matching entries that are not cover edges:
+    a reversed key, a non-edge key and a pair with an unlisted color.  Its
+    one cover edge joins (1,1) and (2,1)."""
+    return Cover(P3, 1, ((1,), (1,), (1,)),
+                 {(1, 0): ((1, 1),), (0, 2): ((1, 1),), (1, 2): ((1, 1), (2, 1))})
+
+
+def test_entries_that_are_not_cover_edges_count_nowhere():
+    cover, d = not_cover_edges_p3(), DefectVector((1,))
+    out = find_defective_dp(cover, d)
+    assert (out.status, out.transversal) == (SearchStatus.FOUND, {0: 1, 1: 1, 2: 1})
+    report = verify_defective(cover, out.transversal, d)
+    assert report.passed and report.degrees == ((0, 0), (1, 1), (2, 1))
+    assert brute_defective(cover, d).status is SearchStatus.FOUND
+    # the cover edge joins two color-1 nodes, so no order exists
+    assert find_ba(cover).status is brute_ba(cover).status is SearchStatus.NONE
+    s = structure_of_transversal(cover, out.transversal)
+    assert s.is_linear_forest and not s.color1_independent
+
+
+def test_checkers_and_oracles_do_not_read_the_node_graph(monkeypatch):
+    # (cover, defect vector): random k4 covers, a K3 cover with no proper
+    # coloring, and P3 with one cover edge between color-1 nodes
+    k4 = generate("k4")
+    covers = [(random_cover(k4, 3, seed, full=seed % 2 == 0), DefectVector((0, 2, 2)))
+              for seed in range(6)]
+    covers += [(identity_cover(K3, 2), DefectVector((0, 0))),
+               (not_cover_edges_p3(), DefectVector((0,)))]
+    cases = [(cover, d, find_ba(cover), find_defective_dp(cover, d)) for cover, d in covers]
+    statuses = {out.status for _, _, ba, dp in cases for out in (ba, dp)}
+    assert statuses == {SearchStatus.FOUND, SearchStatus.NONE}
+
+    def refuse(cover):
+        raise AssertionError("a checker read the search's node graph")
+
+    monkeypatch.setattr(Cover, "node_graph", property(refuse))
+    with pytest.raises(AssertionError, match="node graph"):
+        find_ba(paper_cover())
+    for cover, d, ba, dp in cases:
+        assert brute_ba(cover).status is ba.status
+        assert brute_defective(cover, d).status is dp.status
+        if ba.ordered:
+            assert verify_ba(cover, ba.ordered).passed
+            assert structure_of_transversal(cover, ba.ordered.assignment).is_linear_forest
+        if dp.transversal:
+            assert verify_defective(cover, dp.transversal, d).passed
+    assert brute_ba(paper_cover()).status is SearchStatus.NONE
+    ot = OrderedTransversal({0: 1, 1: 2, 2: 1}, ((0, 1), (2, 1), (1, 2)))
+    assert not verify_ba(paper_cover(), ot).passed
+
+
 def test_found_ba_always_passes_verifier():
     for seed in range(30):
         c = random_cover(generate("figure1"), 3, seed, full=True)
@@ -173,10 +230,11 @@ def test_found_ba_always_passes_verifier():
 
 
 def reference_verify_ba(cover: Cover, ot: OrderedTransversal) -> BAReport:
-    """verify_ba on (vertex, color) tuples, through neighbors_in_cover."""
+    """verify_ba on (vertex, color) tuples, with neighbors read from the
+    matchings by the definition, not through dpcharge."""
     placed = set()
     for p, node in enumerate(ot.order):
-        lefts = [w for w in cover.neighbors_in_cover(node) if w in placed]
+        lefts = [w for w in neighbors_by_definition(cover, node) if w in placed]
         if node[1] == 1 and lefts:
             return BAReport(False, BAViolation(
                 1, node, p, f"color-1 node {node} has left neighbor {lefts[0]}"))
@@ -184,7 +242,7 @@ def reference_verify_ba(cover: Cover, ot: OrderedTransversal) -> BAReport:
             return BAReport(False, BAViolation(
                 2, node, p, f"node {node} has {len(lefts)} left neighbors"))
         if node[1] != 1 and lefts:
-            load = sum(1 for x in cover.neighbors_in_cover(lefts[0]) if x in placed)
+            load = sum(1 for x in neighbors_by_definition(cover, lefts[0]) if x in placed)
             if load > 1:
                 return BAReport(False, BAViolation(
                     2, node, p, f"left neighbor {lefts[0]} of {node} is adjacent to "
@@ -205,7 +263,7 @@ def _corrupted_orders(cover: Cover, order: tuple, rng: Random):
         yield tuple(swapped)
     chosen = set(order)
     for x in order:
-        nbrs = [w for w in cover.neighbors_in_cover(x) if w in chosen]
+        nbrs = [w for w in neighbors_by_definition(cover, x) if w in chosen]
         rest = [y for y in order if y != x and y not in nbrs]
         if x[1] == 1 and nbrs:
             yield tuple(rest + nbrs + [x])

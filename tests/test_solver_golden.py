@@ -154,7 +154,7 @@ def reference_ba(cover: Cover, node_limit: int):
     every unplaced vertex are computed afresh, the vertices are tried by
     fewest feasible colours (ties by id), and each placement counts one
     node.  Returns (status, order, nodes) like a find_ba row."""
-    vert, color, own, _, adj = cover.node_graph
+    vert, color, own, adj = cover.node_graph
     n = cover.graph.vertex_count
     at = [-1] * n
     cnt = [0] * len(vert)  # placed neighbours of each node
