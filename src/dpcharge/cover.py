@@ -16,10 +16,10 @@ import json
 import re
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, combinations, permutations
+from itertools import accumulate, chain, combinations, permutations
 from math import comb, factorial
 from random import Random
-from typing import Callable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .planegraph import PlaneGraph
 from .reporting import dump_json
@@ -42,34 +42,37 @@ class Cover:
         """The matchings that define cover edges, as (u, v, pairs) in key
         order: those whose key (u, v) has u < v and is a base edge (graph.edges
         holds each base edge so).  A pair counts only between listed colors."""
-        return tuple((u, v, pairs) for (u, v), pairs in sorted(self.matchings.items())
-                     if (u, v) in self.graph.edges)
+        edges = self.graph.edges
+        return tuple([(u, v, pairs) for (u, v), pairs in sorted(self.matchings.items())
+                      if (u, v) in edges])
 
     @cached_property
     def node_graph(self) -> tuple:
         """(vert, color, own, adj), the cover graph on integer node ids,
         built on first use for the search.  Node i is (vert[i], color[i]),
-        numbered vertex by vertex in list order; own[v] holds v's ids, and
-        adj[i] lists i's neighbors by base vertex, then by position in the
-        matching."""
-        vert, color, own, by_color = [], [], [], []
-        for v in self.graph.vertices():
-            lst = self.lists[v]
-            own.append(range(len(vert), len(vert) + len(lst)))
-            by_color.append(dict(zip(lst, own[-1])))  # color -> id at v
-            vert.extend([v] * len(lst))
-            color.extend(lst)
+        numbered vertex by vertex in list order, so node (v, c) is v's
+        first id plus the position of c in v's list; own[v] holds v's ids,
+        and adj[i] lists i's neighbors by base vertex, then by position in
+        the matching.  A pair repeated in a matching is one cover edge."""
+        lists = self.lists
+        where = {lst: {c: i for i, c in enumerate(lst)} for lst in set(lists)}
+        at = [where[lst] for lst in lists]  # color -> position, per vertex
+        first = list(accumulate(map(len, lists), initial=0))
+        own = tuple(map(range, first, first[1:]))
+        vert = tuple([v for v, lst in enumerate(lists) for _ in lst])
         adj: list[list[int]] = [[] for _ in vert]
         for u, v, pairs in self.edge_matchings:
-            at_u, at_v = by_color[u], by_color[v]
+            at_u, at_v, fu, fv = at[u], at[v], first[u], first[v]
             for a, b in pairs:
                 try:
-                    p, q = at_u[a], at_v[b]
+                    p, q = fu + at_u[a], fv + at_v[b]
                 except KeyError:  # an unlisted color: not a cover edge
                     continue
-                adj[p].append(q)
-                adj[q].append(p)
-        return tuple(vert), tuple(color), tuple(own), tuple(map(tuple, adj))
+                row = adj[p]
+                if q not in row:
+                    row.append(q)
+                    adj[q].append(p)
+        return vert, tuple(chain.from_iterable(lists)), own, adj
 
 
 def identity_cover(graph: PlaneGraph, k: int) -> Cover:
@@ -87,12 +90,30 @@ def identity_cover(graph: PlaneGraph, k: int) -> Cover:
                  (("kind", "identity"),))
 
 
-def _seeded_permutation(randrange: Callable[[int], int], items: Sequence[int]) -> list[int]:
-    # Fisher-Yates driven only by randrange (a bound Random.randrange), so
-    # the output is stable across Python versions for a fixed seed.
+def _draw(getrandbits: Callable[[int], int], bounds: Iterable[int]) -> tuple[int, ...]:
+    # One index below each bound, drawn as CPython's Random.randrange(bound)
+    # draws it: getrandbits(bound.bit_length()) until the value is below
+    # bound.  So a cover drawn from Random(seed).getrandbits is the one
+    # randrange drew, and it is pinned by test_random_cover_draw_is_pinned.
+    out = []
+    for n in bounds:
+        bits = n.bit_length()
+        r = getrandbits(bits)
+        while r >= n:
+            r = getrandbits(bits)
+        out.append(r)
+    return tuple(out)
+
+
+def _shuffled(getrandbits: Callable[[int], int], items: Sequence[int]) -> list[int]:
+    # Fisher-Yates: position i swaps with a drawn index below i + 1, i from
+    # the last position down to 1
+    return _swapped(items, _draw(getrandbits, range(len(items), 1, -1)))
+
+
+def _swapped(items: Sequence[int], swaps: Sequence[int]) -> list[int]:
     out = list(items)
-    for i in range(len(out) - 1, 0, -1):
-        j = randrange(i + 1)
+    for i, j in zip(range(len(out) - 1, 0, -1), swaps):
         out[i], out[j] = out[j], out[i]
     return out
 
@@ -106,30 +127,38 @@ def random_cover(graph: PlaneGraph, k: int, seed: int, full: bool) -> Cover:
 
     full=True draws a uniform perfect matching (a permutation of 1..k)
     per edge; otherwise a uniform matching of any size, empty included.
+    Edges that draw the same permutation share one pairs tuple.
     """
     if k < 1:
         raise ValueError("k must be positive")
-    randrange = Random(seed).randrange
-    colors = list(range(1, k + 1))
-    weights = _matching_size_weights(k)
-    total = sum(weights)
+    getrandbits = Random(seed).getrandbits
+    colors = tuple(range(1, k + 1))
+    edges = sorted(graph.edges)
     matchings: dict[tuple[int, int], tuple[Pair, ...]] = {}
-    for e in sorted(graph.edges):
-        if full:
-            matchings[e] = tuple(zip(colors, _seeded_permutation(randrange, colors)))
-            continue
-        # size j with probability C(k,j)^2 j! / total, then uniform
-        # j-subsets on both sides and a uniform bijection
-        r = randrange(total) if total > 1 else 0
-        j = 0
-        while r >= weights[j]:
-            r -= weights[j]
-            j += 1
-        left = sorted(_seeded_permutation(randrange, colors)[:j])
-        right = sorted(_seeded_permutation(randrange, colors)[:j])
-        perm = _seeded_permutation(randrange, right)
-        matchings[e] = tuple(sorted(zip(left, perm)))
-    return Cover(graph, k, (tuple(colors),) * graph.vertex_count, matchings,
+    if full:
+        bounds = range(k, 1, -1)
+        drawn: dict[tuple[int, ...], tuple[Pair, ...]] = {}  # swaps -> pairs
+        for e in edges:
+            swaps = _draw(getrandbits, bounds)
+            pairs = drawn.get(swaps)
+            if pairs is None:
+                pairs = drawn[swaps] = tuple(zip(colors, _swapped(colors, swaps)))
+            matchings[e] = pairs
+    else:
+        weights = _matching_size_weights(k)
+        total = sum(weights)
+        for e in edges:
+            # size j with probability C(k,j)^2 j! / total, then uniform
+            # j-subsets on both sides and a uniform bijection
+            r = _draw(getrandbits, (total,))[0] if total > 1 else 0
+            j = 0
+            while r >= weights[j]:
+                r -= weights[j]
+                j += 1
+            left = sorted(_shuffled(getrandbits, colors)[:j])
+            right = sorted(_shuffled(getrandbits, colors)[:j])
+            matchings[e] = tuple(sorted(zip(left, _shuffled(getrandbits, right))))
+    return Cover(graph, k, (colors,) * graph.vertex_count, matchings,
                  (("kind", "random"), ("seed", seed), ("full", full)))
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import json
 from math import comb, factorial
 from random import Random
@@ -59,6 +60,23 @@ def test_random_cover_seed_sensitivity():
     a = random_cover(K3, 3, seed=1, full=True)
     b = random_cover(K3, 3, seed=2, full=True)
     assert a.matchings != b.matchings
+
+
+# recorded while random_cover still drew every index with Random.randrange
+DRAW_GOLDEN = "350600b69ff17c42ab4bb8bd317041a04f55b3081cdcde3f6a46f6df1b6575ed"
+
+
+def test_random_cover_draw_is_pinned():
+    # the seeded stream, byte for byte: every catalog graph, small and
+    # larger k, ten seeds, full and partial matchings
+    h = hashlib.sha256()
+    for name in DEFAULT_CATALOG:
+        g = generate(name)
+        for k in (1, 2, 3, 5):
+            for seed in range(10):
+                for full in (True, False):
+                    h.update(cover_to_json(random_cover(g, k, seed, full)).encode() + b"\n")
+    assert h.hexdigest() == DRAW_GOLDEN
 
 
 def test_enumerate_single_edge_counts():
@@ -143,13 +161,14 @@ def test_cover_from_json_rejects_a_second_spelling_of_a_key():
 
 def neighbors_by_definition(cover, node):
     """Cover neighbors of node read straight from cover.matchings: by base
-    neighbor, then by position in that edge's matching."""
+    neighbor, then by position in that edge's matching.  A pair repeated
+    in a matching is one cover edge."""
     u, cu = node
     out = []
     for v in sorted(cover.graph.neighbors(u)):
         for a, b in cover.matchings.get((min(u, v), max(u, v)), ()):
             mine, theirs = (a, b) if u < v else (b, a)
-            if mine == cu:
+            if mine == cu and (v, theirs) not in out:
                 out.append((v, theirs))
     return out
 
@@ -190,6 +209,33 @@ def test_node_graph_of_random_catalog_covers(name):
                 from_graph = {v: [w for w, c in node_graph_neighbors(cover, (v, t[v]))
                                   if t[w] == c] for v in t}
                 assert induced_neighbors(cover, t) == from_graph
+
+
+def test_node_graph_of_equal_lists_that_are_separate_objects():
+    # node ids come from one position table per distinct list; a cover read
+    # back from JSON holds each vertex's list as its own tuple
+    for name in ("dodecahedron", "theta:3,3,3"):
+        for full in (True, False):
+            drawn = random_cover(generate(name), 3, 5, full)
+            read = cover_from_json(cover_to_json(drawn))
+            assert len({id(lst) for lst in read.lists}) == len(read.lists)
+            assert_node_graph_matches_definition(read)
+            assert read.node_graph == drawn.node_graph
+
+
+def test_node_graph_of_lists_of_mixed_lengths_and_orders():
+    lists = ((3, 1, 2), (2, 1), (5, 2, 4, 1))
+    matchings = {(0, 1): ((3, 2), (1, 1)), (0, 2): ((2, 5), (3, 4), (1, 1)),
+                 (1, 2): ((1, 4), (2, 2))}
+    c = Cover(K3, 2, lists, matchings)
+    assert validate_cover(c).valid
+    assert_node_graph_matches_definition(c)
+    # two equal lists as separate objects, and a third in the other order
+    c = Cover(K3, 2, ((2, 1), tuple([2, 1]), (1, 2)), {(0, 1): ((2, 1),), (1, 2): ((1, 1),)})
+    assert_node_graph_matches_definition(c)
+    c = Cover(K3, 2, ((1, 2),) * 3, {(0, 1): ((1, 2), (1, 2)), (0, 2): ((2, 2), (1, 1), (2, 2))})
+    assert_node_graph_matches_definition(c)  # a repeated pair is one edge
+    assert node_graph_neighbors(c, (0, 2)) == [(2, 2)]
 
 
 def test_node_graph_skips_entries_that_are_not_cover_edges():

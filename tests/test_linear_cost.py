@@ -1,5 +1,5 @@
-"""The input readers and the transversal checkers cost time linear in the
-input size.
+"""The input readers, the cover builders and the transversal checkers
+cost time linear in the input size.
 
 Each one runs on a cycle:N input at N = 2,000 and at N = 16,000, the
 best of five runs with the cyclic garbage collector paused.  Eight times
@@ -84,4 +84,19 @@ def _verify_budgets(case) -> None:
                          ids=["verify_ba", "verify_defective"])
 def test_checker_time_is_linear_in_input_size(check):
     small, large = (_best_seconds(check, _path_transversal(n)) for n in SIZES)
+    assert large / small < 20, (small, large)
+
+
+def _cycle(n: int):
+    return generate(f"cycle:{n}")
+
+
+# the node graph is read from a fresh copy of the cover, so it is built anew
+@pytest.mark.parametrize("build,make", [
+    (lambda g: random_cover(g, 3, 0, True), _cycle),
+    (lambda g: random_cover(g, 3, 0, False), _cycle),
+    (lambda c: replace(c).node_graph, lambda n: random_cover(_cycle(n), 3, 0, True)),
+], ids=["random_cover-full", "random_cover-partial", "node_graph"])
+def test_cover_build_time_is_linear_in_input_size(build, make):
+    small, large = (_best_seconds(build, make(n)) for n in SIZES)
     assert large / small < 20, (small, large)

@@ -190,6 +190,21 @@ def test_entries_that_are_not_cover_edges_count_nowhere():
     assert s.is_linear_forest and not s.color1_independent
 
 
+def test_a_repeated_pair_is_one_cover_edge():
+    # a cover built in code may list a pair twice; it is still one edge, so
+    # each endpoint has one placed neighbor, which budget 1 and a color-2
+    # node's one left neighbor both allow
+    cover, d = Cover(EDGE, 1, ((1,), (1,)), {(0, 1): ((1, 1), (1, 1))}), DefectVector((1,))
+    out = find_defective_dp(cover, d)
+    assert (out.status, out.transversal) == (SearchStatus.FOUND, {0: 1, 1: 1})
+    assert verify_defective(cover, out.transversal, d).passed
+    assert brute_defective(cover, d).status is SearchStatus.FOUND
+    cover = Cover(EDGE, 1, ((2,), (2,)), {(0, 1): ((2, 2), (2, 2))})
+    out = find_ba(cover)
+    assert out.status is brute_ba(cover).status is SearchStatus.FOUND
+    assert verify_ba(cover, out.ordered).passed
+
+
 def test_checkers_and_oracles_do_not_read_the_node_graph(monkeypatch):
     # (cover, defect vector): random k4 covers, a K3 cover with no proper
     # coloring, and P3 with one cover edge between color-1 nodes
