@@ -17,7 +17,7 @@ def main() -> None:
         for ruleset in (RuleSet.RS48, RuleSet.RS46):
             ledger = run_rules(graph, ruleset)
             report = audit(ledger)
-            status = "all >= 0" if report.all_non_negative else \
+            status = "all >= 0" if not report.negatives else \
                 f"{len(report.negatives)} negative element(s)"
             print(f"   {ruleset.value}: sum {frac_str(report.sum_initial)} "
                   f"(conserved: {report.conservation_ok}); {status}; "

@@ -21,9 +21,9 @@ from .discharge import RuleSet, audit, run_rules
 from .hunt import hunt as run_hunt
 from .lemmas import Verdict, check_structural_lemmas, special_vertex_analysis
 from .planegraph import EmbeddingError, PlaneGraph
-from .reporting import (TOOL_VERSION, dump_json, frac_str, frac_texts, input_hash,
-                        ledger_to_json, reducible_to_json)
-from .rotfile import RotationFileError, load_rotation_file, serialize_rotation_file
+from .reporting import (TOOL_VERSION, dump_json, frac_str, frac_texts, ledger_to_json,
+                        reducible_to_json)
+from .rotfile import RotationFileError, graph_hash, load_rotation_file, serialize_rotation_file
 from .solver import (DEFAULT_NODE_LIMIT, DefectVector, OrderedTransversal, SearchStatus,
                      find_ba, find_defective_dp, verify_ba, verify_defective)
 from .structure import Profile, check_profile, classify_vertices, find_reducible
@@ -67,12 +67,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("structure", help="hypothesis profile, vertex classes, lemma checks")
     p.add_argument("file")
-    p.add_argument("--profile", choices=["no48", "no46"], required=True)
+    p.add_argument("--profile", choices=[x.value for x in Profile], required=True)
     p.add_argument("--json", dest="json_out", metavar="OUT")
 
     p = sub.add_parser("discharge", help="run a discharging rule set and audit the ledger")
     p.add_argument("file")
-    p.add_argument("--rules", choices=["rs48", "rs46"], required=True)
+    p.add_argument("--rules", choices=[x.value for x in RuleSet], required=True)
     p.add_argument("--json", dest="json_out", metavar="OUT")
 
     p = sub.add_parser("solve", help="search a cover for a coloring")
@@ -98,7 +98,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("hunt", help="seeded counterexample hunt across graphs")
     p.add_argument("graphs", nargs="*",
                    help="catalog names or rotation files (default: whole catalog)")
-    p.add_argument("--profile", choices=["no48", "no46"], required=True)
+    p.add_argument("--profile", choices=[x.value for x in Profile], required=True)
     p.add_argument("--k", type=int, default=3)
     p.add_argument("--seeds", default="0..9", help="seed range A..B, inclusive")
     p.add_argument("--limit", type=int, default=DEFAULT_NODE_LIMIT)
@@ -164,7 +164,7 @@ def _cmd_structure(args) -> int:
         doc = {
             "version": TOOL_VERSION,
             "command": f"structure {args.file} --profile {args.profile}",
-            "input_hash": input_hash(serialize_rotation_file(g, name)),
+            "input_hash": graph_hash(g, name),
             "profile": profile.value,
             "hypothesis": {
                 "connected": hyp.connected,
@@ -210,7 +210,7 @@ def _cmd_discharge(args) -> int:
         doc = ledger_to_json(ledger, report)
         doc["version"] = TOOL_VERSION
         doc["command"] = f"discharge {args.file} --rules {args.rules}"
-        doc["input_hash"] = input_hash(serialize_rotation_file(g, name))
+        doc["input_hash"] = graph_hash(g, name)
         with open(args.json_out, "w", encoding="utf-8") as fh:
             fh.write(dump_json(doc))
         print(f"  ledger written to {args.json_out}")
@@ -272,7 +272,7 @@ def _cmd_solve(args) -> int:
         doc = {
             "version": TOOL_VERSION,
             "command": f"solve {args.file} --mode {args.mode} --cover {args.cover}",
-            "graph_hash": input_hash(serialize_rotation_file(g, name)),
+            "graph_hash": graph_hash(g, name),
             "mode": args.mode,
             "k": cover.k,
             "assignment": {str(v): c for v, c in assignment.items()},
@@ -305,7 +305,7 @@ def _cmd_verify(args) -> int:
         if key not in doc:
             raise CliError(f"transversal file has no {key!r} entry")
     recorded = doc["graph_hash"]
-    actual = input_hash(serialize_rotation_file(g, name))
+    actual = graph_hash(g, name)
     if recorded != actual:
         raise CliError(f"transversal was recorded for graph hash {recorded}, "
                        f"but {args.file} hashes to {actual}")

@@ -9,7 +9,9 @@ amounts, so charges are replayed in integer units and handed out as
 fractions.Fraction.
 
 Each rule set is one ``RuleTable`` in ``RULES``; a single interpreter
-runs every table.
+runs every table.  ``run_rules`` itemizes the transfers and keeps the
+phase-1 charge beta of each 5-face in ``ledger.betas``; ``audit`` alone
+replays the ledger into the final charges and the two charge sums.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import NamedTuple
 
-from .planegraph import Face, PlaneGraph
+from .planegraph import PlaneGraph
 from .structure import (Profile, ReducibleConfiguration, VertexClassification,
                         check_profile, classify_vertices, find_reducible)
 
@@ -134,21 +136,6 @@ class ChargeLedger:
             out[t.target] += u
         return out
 
-    def _fractions(self, units: dict[str, int]) -> dict[str, Fraction]:
-        unit = self.unit
-        value = {u: Fraction(u, unit) for u in set(units.values())}
-        return {k: value[u] for k, u in units.items()}
-
-    def final(self) -> dict[str, Fraction]:
-        return self._fractions(self._replay())
-
-    def sum_initial(self) -> Fraction:
-        unit = self.unit
-        return Fraction(sum(_in_units(q, unit) for q in self.initial.values()), unit)
-
-    def sum_final(self) -> Fraction:
-        return Fraction(sum(self._replay().values()), self.unit)
-
 
 def _in_units(q: Fraction, unit: int) -> int:
     n, d = q.as_integer_ratio()
@@ -215,8 +202,7 @@ def _drain(graph: PlaneGraph, cls: VertexClassification, rule: str,
     ledger.betas = {f.id: Fraction(units[face_key(f.id)], unit)
                     for f in graph.faces if f.degree == 5}
     claims: dict[int, list[int]] = {}
-    for v in sorted(cls.special):
-        fid = next(f for f in graph.incident_faces(v) if graph.faces[f].degree == 5)
+    for v, (_, fid, _) in sorted(cls.special.items()):
         claims.setdefault(fid, []).append(v)
     for fid in sorted(claims):
         claimants = claims[fid]
@@ -252,13 +238,6 @@ def run_rules(graph: PlaneGraph, ruleset: RuleSet) -> ChargeLedger:
     return ledger
 
 
-def beta(graph: PlaneGraph, face: Face) -> Fraction:
-    """Phase-1 final charge of a 5-face under RS48."""
-    if face.degree != 5:
-        raise ValueError(f"beta is defined for 5-faces; face {face.id} has degree {face.degree}")
-    return run_rules(graph, RuleSet.RS48).betas[face.id]
-
-
 @dataclass(frozen=True)
 class NegativeElement:
     key: str
@@ -276,20 +255,17 @@ class AuditReport:
     negatives: tuple[NegativeElement, ...]
     final: dict[str, Fraction]  # the ledger's final charges, replayed once
 
-    @property
-    def all_non_negative(self) -> bool:
-        return not self.negatives
-
 
 def audit(ledger: ChargeLedger) -> AuditReport:
     """Check the -8 identity and exact conservation; annotate every
     element that ends negative with the nearby reducible configurations
     and the violated hypotheses that explain it."""
-    graph = ledger.graph
-    total0 = ledger.sum_initial()
+    graph, unit = ledger.graph, ledger.unit
+    total0 = Fraction(sum(_in_units(q, unit) for q in ledger.initial.values()), unit)
     units = ledger._replay()
-    total1 = Fraction(sum(units.values()), ledger.unit)
-    final = ledger._fractions(units)
+    total1 = Fraction(sum(units.values()), unit)
+    value = {u: Fraction(u, unit) for u in set(units.values())}
+    final = {k: value[u] for k, u in units.items()}
     profile = ledger.ruleset.profile if ledger.ruleset else Profile.NO48
     hypothesis = check_profile(graph, profile)
     notes = tuple(hypothesis.notes())

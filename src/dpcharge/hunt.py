@@ -21,8 +21,8 @@ from dataclasses import dataclass, field
 
 from .cover import cover_from_json, cover_to_json, random_cover
 from .planegraph import PlaneGraph
-from .reporting import TOOL_VERSION, input_hash
-from .rotfile import serialize_rotation_file
+from .reporting import TOOL_VERSION
+from .rotfile import graph_hash
 from .solver import DEFAULT_NODE_LIMIT, BAOutcome, SearchStatus, find_ba
 from .structure import Profile, check_profile
 
@@ -87,8 +87,7 @@ def hunt(profile: Profile, k: int, seeds: range | list[int],
         profile=profile,
         k=k,
         seeds=seed_list,
-        graphs=tuple((name, input_hash(serialize_rotation_file(g, name)))
-                     for name, g in graphs),
+        graphs=tuple((name, graph_hash(g, name)) for name, g in graphs),
     )
     for name, g in graphs:
         hyp = check_profile(g, profile)

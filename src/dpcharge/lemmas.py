@@ -9,6 +9,9 @@ hypothesis should come with a concrete forbidden cycle as the witness.
 
 A ``violated`` verdict (hypotheses hold, conclusion fails) never occurs
 on sound input; one appearing on a catalog graph is a release blocker.
+Each item's statement is the comment beside its table entry.  The
+special 3-vertex analysis takes each vertex's 3-, 5- and 6-face from
+``classify_vertices``.
 """
 
 from __future__ import annotations
@@ -31,8 +34,6 @@ class Verdict(Enum):
 @dataclass(frozen=True)
 class LemmaItemResult:
     item: str
-    statement: str
-    needs_min_degree3: bool
     hypotheses_ok: bool
     hypothesis_notes: tuple[str, ...]
     conclusion_holds: bool
@@ -116,28 +117,35 @@ def _seven_faces_are_chordless_cycles(graph: PlaneGraph):
     return True, None
 
 
-_ITEMS_NO48: tuple[tuple[str, str, bool, Check], ...] = (
-    ("no48.i", "no two 3-faces are adjacent", False, _no_adjacent_3_faces),
-    ("no48.ii", "a 3-face adjacent to a 5-face is normally adjacent", False,
-     _adjacent_implies_normal(3, 5)),
-    ("no48.iii", "a 3-face adjacent to a 6-face is normally adjacent", True,
-     _adjacent_implies_normal(3, 6)),
-    ("no48.iv", "no 7-face is adjacent to a 3-face", True, _never_adjacent(3, 7)),
-    ("no48.v", "no two 5-faces are adjacent", True, _never_adjacent(5, 5)),
-    ("no48.vi", "each 5-face is adjacent to at most two 3-faces", True,
-     _at_most_k_triangles(5, 2)),
-    ("no48.vii", "each 6-face is adjacent to at most one 3-face", True,
-     _at_most_k_triangles(6, 1)),
+# (item, needs minimum degree 3, check); the comment above each entry is its statement
+_ITEMS_NO48: tuple[tuple[str, bool, Check], ...] = (
+    # no two 3-faces are adjacent
+    ("no48.i", False, _no_adjacent_3_faces),
+    # a 3-face adjacent to a 5-face is normally adjacent
+    ("no48.ii", False, _adjacent_implies_normal(3, 5)),
+    # a 3-face adjacent to a 6-face is normally adjacent
+    ("no48.iii", True, _adjacent_implies_normal(3, 6)),
+    # no 7-face is adjacent to a 3-face
+    ("no48.iv", True, _never_adjacent(3, 7)),
+    # no two 5-faces are adjacent
+    ("no48.v", True, _never_adjacent(5, 5)),
+    # each 5-face is adjacent to at most two 3-faces
+    ("no48.vi", True, _at_most_k_triangles(5, 2)),
+    # each 6-face is adjacent to at most one 3-face
+    ("no48.vii", True, _at_most_k_triangles(6, 1)),
 )
 
-_ITEMS_NO46: tuple[tuple[str, str, bool, Check], ...] = (
-    ("no46.i", "no two 3-faces are adjacent", False, _no_adjacent_3_faces),
-    ("no46.ii", "no 3-face is adjacent to a 5-face", False, _never_adjacent(3, 5)),
-    ("no46.iii", "no 3-face is adjacent to a 6-face", True, _never_adjacent(3, 6)),
-    ("no46.iv", "every 7-face is bounded by a 7-cycle and every 7-cycle is chordless",
-     False, _seven_faces_are_chordless_cycles),
-    ("no46.v", "a 3-face adjacent to a 7-face is normally adjacent", False,
-     _adjacent_implies_normal(3, 7)),
+_ITEMS_NO46: tuple[tuple[str, bool, Check], ...] = (
+    # no two 3-faces are adjacent
+    ("no46.i", False, _no_adjacent_3_faces),
+    # no 3-face is adjacent to a 5-face
+    ("no46.ii", False, _never_adjacent(3, 5)),
+    # no 3-face is adjacent to a 6-face
+    ("no46.iii", True, _never_adjacent(3, 6)),
+    # every 7-face is bounded by a 7-cycle and every 7-cycle is chordless
+    ("no46.iv", False, _seven_faces_are_chordless_cycles),
+    # a 3-face adjacent to a 7-face is normally adjacent
+    ("no46.v", False, _adjacent_implies_normal(3, 7)),
 )
 
 
@@ -147,15 +155,13 @@ def check_structural_lemmas(graph: PlaneGraph, profile: Profile) -> LemmaReport:
     degree_note = hypothesis.degree_note
     items = _ITEMS_NO48 if profile is Profile.NO48 else _ITEMS_NO46
     results = []
-    for item, statement, needs_d3, check in items:
+    for item, needs_d3, check in items:
         notes = list(cycle_notes)
         if needs_d3 and degree_note is not None:
             notes.append(degree_note)
         holds, witness = check(graph)
         results.append(LemmaItemResult(
             item=item,
-            statement=statement,
-            needs_min_degree3=needs_d3,
             hypotheses_ok=not notes,
             hypothesis_notes=tuple(notes),
             conclusion_holds=holds,
@@ -180,14 +186,13 @@ class SpecialVertexRecord:
     vertex of degree <= 2 cannot bound in such a graph and is excluded
     from the second clause (listed under ``excluded_triangles``), and a
     putative special vertex adjacent to a degree <= 2 vertex is excluded
-    from the third (listed under ``excluded_specials``).  Both filters
-    are vacuous when the minimum degree is 3.
+    from the third (it is in ``other_specials_raw``, not in
+    ``other_specials``).  Both filters are vacuous when the minimum
+    degree is 3.
     """
 
     vertex: int
     triangle_face: int
-    five_face: int
-    six_face: int
     identification_candidates: tuple[int, ...]
     identification_ok: bool
     adjacent_triangles_raw: tuple[int, ...]
@@ -196,13 +201,8 @@ class SpecialVertexRecord:
     one_triangle_ok: bool
     other_specials_raw: tuple[int, ...]
     other_specials: tuple[int, ...]
-    excluded_specials: tuple[tuple[int, str], ...]
     uniqueness_ok: bool
     hypothesis_notes: tuple[str, ...]
-
-    @property
-    def all_ok(self) -> bool:
-        return self.identification_ok and self.one_triangle_ok and self.uniqueness_ok
 
 
 def _degenerate_vertex(graph: PlaneGraph, face: Face) -> int | None:
@@ -216,10 +216,8 @@ def special_vertex_analysis(graph: PlaneGraph) -> list[SpecialVertexRecord]:
     cls = classify_vertices(graph)
     hypothesis = check_profile(graph, Profile.NO48)
     records = []
-    for v in sorted(cls.special):
-        corners = graph.incident_faces(v)
-        by_degree = {graph.faces[f].degree: graph.faces[f] for f in corners}
-        f1, f2, f3 = by_degree[3], by_degree[5], by_degree[6]
+    for v, faces in sorted(cls.special.items()):
+        f1, f2, f3 = (graph.faces[f] for f in faces)
 
         ident = tuple(sorted((f2.vertex_set & f3.vertex_set)
                              - ({v} | set(graph.neighbors(v)))))
@@ -240,16 +238,8 @@ def special_vertex_analysis(graph: PlaneGraph) -> list[SpecialVertexRecord]:
 
         on_faces = (f2.vertex_set | f3.vertex_set) - {v}
         raw_others = tuple(sorted(u for u in on_faces if u in cls.special))
-        excluded_s = []
-        kept_others = []
-        for u in raw_others:
-            low = [w for w in sorted(graph.neighbors(u)) if graph.degree(w) <= 2]
-            if low:
-                excluded_s.append(
-                    (u, f"special vertex {u} is adjacent to vertex {low[0]} of degree "
-                        f"{graph.degree(low[0])} <= 2, impossible with minimum degree 3"))
-            else:
-                kept_others.append(u)
+        kept_others = tuple(u for u in raw_others
+                            if all(graph.degree(w) > 2 for w in graph.neighbors(u)))
         uniqueness_ok = not kept_others
 
         notes: list[str] = []
@@ -258,8 +248,6 @@ def special_vertex_analysis(graph: PlaneGraph) -> list[SpecialVertexRecord]:
         records.append(SpecialVertexRecord(
             vertex=v,
             triangle_face=f1.id,
-            five_face=f2.id,
-            six_face=f3.id,
             identification_candidates=ident,
             identification_ok=identification_ok,
             adjacent_triangles_raw=raw_tris,
@@ -267,8 +255,7 @@ def special_vertex_analysis(graph: PlaneGraph) -> list[SpecialVertexRecord]:
             excluded_triangles=tuple(excluded_t),
             one_triangle_ok=one_triangle_ok,
             other_specials_raw=raw_others,
-            other_specials=tuple(kept_others),
-            excluded_specials=tuple(excluded_s),
+            other_specials=kept_others,
             uniqueness_ok=uniqueness_ok,
             hypothesis_notes=tuple(notes),
         ))

@@ -6,7 +6,6 @@ Rationals are serialized as "p/q" strings so exactness survives JSON.
 from __future__ import annotations
 
 import functools
-import hashlib
 from fractions import Fraction
 from itertools import repeat
 from json.encoder import c_make_encoder, encode_basestring_ascii
@@ -23,10 +22,6 @@ def frac_texts(values) -> dict[int, str]:
     """``frac_str`` of each distinct object among ``values``, by id; the
     objects must outlive the table."""
     return {i: frac_str(q) for i, q in dict(zip(map(id, values), values)).items()}
-
-
-def input_hash(text: str) -> str:
-    return hashlib.sha256(text.encode("utf-8")).hexdigest()[:16]
 
 
 def dump_json(doc: dict) -> str:

@@ -16,6 +16,8 @@ builder are surfaced verbatim.
 
 from __future__ import annotations
 
+import hashlib
+
 from .planegraph import EmbeddingError, PlaneGraph, build_plane_graph
 
 
@@ -118,6 +120,11 @@ def serialize_rotation_file(graph: PlaneGraph, name: str = "graph") -> str:
         nbrs = " ".join(map(str, graph.rotations[v]))
         lines.append(f"v {v}: {nbrs}".rstrip())
     return "\n".join(lines) + "\n"
+
+
+def graph_hash(graph: PlaneGraph, name: str = "graph") -> str:
+    """The first 16 hex digits of the sha256 of the graph's canonical text."""
+    return hashlib.sha256(serialize_rotation_file(graph, name).encode("utf-8")).hexdigest()[:16]
 
 
 def load_rotation_file(path: str) -> tuple[PlaneGraph, str]:

@@ -60,6 +60,11 @@ class DefectVector:
         return len(self.budgets)
 
 
+def _check_budgets(cover: Cover, d: DefectVector) -> None:
+    if len(d) != cover.k:
+        raise ValueError(f"defect vector length {len(d)} != k={cover.k}")
+
+
 def _check_transversal(cover: Cover, t: Transversal) -> None:
     verts = set(cover.graph.vertices())
     if set(t) != verts:
@@ -90,6 +95,7 @@ class DefectReport:
 
 def verify_defective(cover: Cover, t: Transversal, d: DefectVector) -> DefectReport:
     """Check deg(v, c) <= d_c for every chosen node (v, c)."""
+    _check_budgets(cover, d)
     _check_transversal(cover, t)
     deg = {v: len(ws) for v, ws in induced_neighbors(cover, t).items()}
     violations = []
@@ -317,8 +323,7 @@ def find_defective_dp(cover: Cover, d: DefectVector,
     the first transversal found is the one plain backtracking would
     find.  nodes_expanded counts feasible placements.
     """
-    if len(d) != cover.k:
-        raise ValueError(f"defect vector length {len(d)} != k={cover.k}")
+    _check_budgets(cover, d)
     graph = cover.graph
     vert, color = cover.node_graph[:2]
     caps = [d.budget(c) for c in color]

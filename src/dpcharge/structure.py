@@ -7,7 +7,8 @@ good class coincides with "all neighbors of degree >= 4"; defining good
 as not-bad keeps the two classes a partition on degenerate inputs.
 
 A 3-vertex is special when its three corner faces are distinct with
-degrees 3, 5 and 6.
+degrees 3, 5 and 6; ``classify_vertices`` is the one place that finds
+those faces, and every reader takes them from its ``special`` map.
 """
 
 from __future__ import annotations
@@ -34,14 +35,14 @@ class Profile(Enum):
 class VertexClassification:
     bad3: frozenset[int]
     good3: frozenset[int]
-    special: frozenset[int]
+    special: dict[int, tuple[int, int, int]]  # v -> (3-face, 5-face, 6-face) ids
 
 
 def classify_vertices(graph: PlaneGraph) -> VertexClassification:
     """The 3-vertex classes, computed once per graph and kept on it."""
     if graph._classification is not None:
         return graph._classification
-    bad, good, special = set(), set(), set()
+    bad, good, special = set(), set(), {}
     for v in graph.vertices():
         if graph.degree(v) != 3:
             continue
@@ -49,13 +50,11 @@ def classify_vertices(graph: PlaneGraph) -> VertexClassification:
             bad.add(v)
         else:
             good.add(v)
-        corners = graph.incident_faces(v)
-        if len(set(corners)) == 3:
-            degs = sorted(graph.faces[f].degree for f in corners)
-            if degs == [3, 5, 6]:
-                special.add(v)
-    graph._classification = VertexClassification(
-        frozenset(bad), frozenset(good), frozenset(special))
+        # three corners of three different degrees are three distinct faces
+        by_degree = {graph.faces[f].degree: f for f in graph.incident_faces(v)}
+        if by_degree.keys() == {3, 5, 6}:
+            special[v] = (by_degree[3], by_degree[5], by_degree[6])
+    graph._classification = VertexClassification(frozenset(bad), frozenset(good), special)
     return graph._classification
 
 

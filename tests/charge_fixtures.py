@@ -22,6 +22,16 @@ from dpcharge.planegraph import PlaneGraph
 from dpcharge.structure import classify_vertices
 
 
+def fraction_replay(ledger, last_phase=2):
+    """Initial charges plus one Fraction add per transfer, as written in the paper."""
+    out = dict(ledger.initial)
+    for t in ledger.transfers:
+        if t.phase <= last_phase:
+            out[t.source] -= t.amount
+            out[t.target] += t.amount
+    return out
+
+
 @dataclass(frozen=True)
 class FocalCase:
     name: str

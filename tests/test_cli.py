@@ -5,8 +5,7 @@ import pytest
 from dpcharge.catalog import generate
 from dpcharge.cli import cli_dispatch
 from dpcharge.cover import cover_doc, identity_cover
-from dpcharge.reporting import input_hash
-from dpcharge.rotfile import serialize_rotation_file
+from dpcharge.rotfile import graph_hash, serialize_rotation_file
 
 from test_solver import paper_cover
 
@@ -126,7 +125,7 @@ def test_verify_paper_cover_rejects(tmp_path, capsys):
     g_path.write_text(serialize_rotation_file(cover.graph, "p3"))
     t_path = tmp_path / "t.json"
     doc = {
-        "graph_hash": input_hash(g_path.read_text()),
+        "graph_hash": graph_hash(cover.graph, "p3"),
         "mode": "ba",
         "k": 1,
         "assignment": {"0": 1, "1": 2, "2": 1},
@@ -344,6 +343,32 @@ def test_verify_with_nothing_to_check_is_usage_error(tmp_path, capsys, defects):
     # an explicit check still runs
     assert cli_dispatch(["verify", str(g_path), "--transversal", str(t_path),
                          "--defects", "0,2,2"]) == 0
+
+
+@pytest.mark.parametrize("source", ["flag", "recorded"])
+@pytest.mark.parametrize("budgets", ["0,0,0,0,7", "0,0,0"], ids=["long", "short"])
+def test_verify_rejects_a_defect_vector_whose_length_is_not_k(tmp_path, capsys, source,
+                                                              budgets):
+    g_path, t_path = tmp_path / "k4.pg", tmp_path / "t.json"
+    assert cli_dispatch(["gen", "k4", "-o", str(g_path)]) == 0
+    assert cli_dispatch(["solve", str(g_path), "--mode", "defect", "--k", "4",
+                         "--defects", "0,0,0,0", "--json", str(t_path)]) == 0
+    verify = ["verify", str(g_path), "--transversal", str(t_path)]
+    if source == "flag":
+        verify += ["--defects", budgets]
+    else:
+        doc = json.loads(t_path.read_text())
+        doc["defects"] = [int(b) for b in budgets.split(",")]
+        t_path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert cli_dispatch(verify) == 2
+    n = budgets.count(",") + 1
+    message = f"error: defect vector length {n} != k=4\n"
+    assert capsys.readouterr() == ("", message)
+    # solve gives the same vector the same answer
+    assert cli_dispatch(["solve", str(g_path), "--mode", "defect", "--k", "4",
+                         "--defects", budgets]) == 2
+    assert capsys.readouterr() == ("", message)
 
 
 def test_verify_runs_every_check_asked_for(tmp_path, capsys):

@@ -3,8 +3,9 @@ from fractions import Fraction
 import pytest
 
 from dpcharge.catalog import generate
-from dpcharge.discharge import (RULES, RuleSet, audit, beta, face_key, initial_charges,
-                                run_rules, vertex_key)
+from charge_fixtures import beta_family, beta_proof_cases, fraction_replay
+from dpcharge.discharge import (RULES, RuleSet, audit, face_key, initial_charges, run_rules,
+                                vertex_key)
 from dpcharge.planegraph import build_plane_graph
 from dpcharge.structure import classify_vertices
 
@@ -16,14 +17,14 @@ def test_initial_charges_formula():
     ledger = initial_charges(g)
     assert all(ledger.initial[vertex_key(v)] == F(-1) for v in g.vertices())
     assert all(ledger.initial[face_key(f.id)] == F(1) for f in g.faces)
-    assert ledger.sum_initial() == F(-8)
+    assert audit(ledger).sum_initial == F(-8)
 
 
 def test_initial_charges_triangle():
     ledger = initial_charges(generate("triangle"))
     # 3 vertices at -2 plus 2 faces at -1
     assert sorted(ledger.initial.values()) == [F(-2)] * 3 + [F(-1)] * 2
-    assert ledger.sum_initial() == F(-8)
+    assert audit(ledger).sum_initial == F(-8)
 
 
 def test_initial_charges_reject_disconnected():
@@ -34,19 +35,19 @@ def test_initial_charges_reject_disconnected():
 
 def test_euler_identity_across_catalog(catalog):
     for g in catalog.values():
-        assert initial_charges(g).sum_initial() == F(-8)
+        assert audit(initial_charges(g)).sum_initial == F(-8)
 
 
 @pytest.mark.parametrize("ruleset", [RuleSet.RS48, RuleSet.RS46])
 def test_conservation_across_catalog(catalog, ruleset):
     for name, g in catalog.items():
-        ledger = run_rules(g, ruleset)
-        assert ledger.sum_final() == ledger.sum_initial() == F(-8), name
+        report = audit(run_rules(g, ruleset))
+        assert report.sum_final == report.sum_initial == F(-8), name
 
 
 def test_dodecahedron_rs48_final_charges():
     g = generate("dodecahedron")
-    final = run_rules(g, RuleSet.RS48).final()
+    final = audit(run_rules(g, RuleSet.RS48)).final
     assert all(final[vertex_key(v)] == F(-3, 4) for v in g.vertices())
     assert all(final[face_key(f.id)] == F(7, 12) for f in g.faces)
 
@@ -56,7 +57,7 @@ def test_no_rules_fire_without_recipients():
     g = generate("cycle:6")
     ledger = run_rules(g, RuleSet.RS46)
     assert not ledger.transfers
-    assert ledger.final() == ledger.initial
+    assert audit(ledger).final == ledger.initial
 
 
 def test_transfer_amounts_are_rule_constants(catalog):
@@ -100,23 +101,16 @@ def test_rule_table_bands_ascend():
 
 def test_beta_is_the_rs48_ledger_beta(catalog):
     for name, g in catalog.items():
-        betas = run_rules(g, RuleSet.RS48).betas
-        fives = [f for f in g.faces if f.degree == 5]
-        assert sorted(betas) == [f.id for f in fives], name
-        for f in fives:
-            assert beta(g, f) == betas[f.id], name
+        ledger = run_rules(g, RuleSet.RS48)
+        phase1 = fraction_replay(ledger, last_phase=1)
+        fives = [f.id for f in g.faces if f.degree == 5]
+        assert ledger.betas == {fid: phase1[face_key(fid)] for fid in fives}, name
 
 
 def test_beta_isolated_five_face():
     g = generate("cycle:5")
-    for f in g.faces:
-        assert beta(g, f) == F(1)  # no outflow at all
-
-
-def test_beta_requires_five_face():
-    g = generate("cycle:6")
-    with pytest.raises(ValueError, match="5-face"):
-        beta(g, g.faces[0])
+    betas = run_rules(g, RuleSet.RS48).betas
+    assert betas == {f.id: F(1) for f in g.faces}  # no outflow at all
 
 
 def test_r6_multiple_claimants_aborted():
@@ -175,33 +169,21 @@ REPLAY_GRAPHS = ([f"cycle:{n}" for n in (3, 4, 5, 6, 7, 8, 10, 12)]
                                            "2,4,6", "3,4,5")])
 
 
-def _fraction_replay(ledger, last_phase=2):
-    """Initial charges plus one Fraction add per transfer, as written in the paper."""
-    out = dict(ledger.initial)
-    for t in ledger.transfers:
-        if t.phase <= last_phase:
-            out[t.source] -= t.amount
-            out[t.target] += t.amount
-    return out
-
-
 def _check_replay(g, ruleset):
     ledger = run_rules(g, ruleset)
-    expected = _fraction_replay(ledger)
-    final = ledger.final()
-    assert final == expected
-    assert all(type(x) is Fraction for x in final.values())
-    assert all(type(t.amount) is Fraction for t in ledger.transfers)
+    expected = fraction_replay(ledger)
     report = audit(ledger)
     assert report.final == expected
-    assert report.sum_initial == sum(ledger.initial.values(), F(0)) == ledger.sum_initial()
-    assert report.sum_final == sum(expected.values(), F(0)) == ledger.sum_final()
+    assert all(type(x) is Fraction for x in report.final.values())
+    assert all(type(t.amount) is Fraction for t in ledger.transfers)
+    assert report.sum_initial == sum(ledger.initial.values(), F(0))
+    assert report.sum_final == sum(expected.values(), F(0))
     assert type(report.sum_initial) is type(report.sum_final) is Fraction
     assert [(n.key, n.final) for n in report.negatives] == \
         sorted(((k, x) for k, x in expected.items() if x < 0),
                key=lambda kx: (kx[0][0], int(kx[0][1:])))
     assert all(type(n.final) is Fraction for n in report.negatives)
-    phase1 = _fraction_replay(ledger, last_phase=1)
+    phase1 = fraction_replay(ledger, last_phase=1)
     fives = [f.id for f in g.faces if f.degree == 5]
     if ruleset is RuleSet.RS48:
         assert ledger.betas == {fid: phase1[face_key(fid)] for fid in fives}
@@ -223,7 +205,6 @@ def test_final_matches_fraction_replay_on_generated(name, ruleset):
 
 
 def test_final_matches_fraction_replay_on_r6_gadgets():
-    from charge_fixtures import beta_family, beta_proof_cases
     drains = 0
     for _, g, _ in beta_family() + beta_proof_cases():
         for ruleset in RuleSet:

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from charge_fixtures import beta_family, beta_proof_cases, build_cases
-from dpcharge.discharge import beta, run_rules
+from dpcharge.discharge import RuleSet, audit, run_rules
 from dpcharge.structure import classify_vertices
 
 CASES = build_cases()
@@ -18,8 +18,7 @@ def test_focal_environment_matches_case(case):
 
 @pytest.mark.parametrize("case", CASES, ids=[c.name for c in CASES])
 def test_focal_final_charge(case):
-    ledger = run_rules(case.graph, case.ruleset)
-    mu = ledger.final()[case.focal]
+    mu = audit(run_rules(case.graph, case.ruleset)).final[case.focal]
     assert mu >= 0
     if case.expected is not None:
         assert mu == case.expected
@@ -28,7 +27,7 @@ def test_focal_final_charge(case):
 @pytest.mark.parametrize("name,graph,fid", beta_proof_cases(),
                          ids=[n for n, _, _ in beta_proof_cases()])
 def test_beta_proof_cases_exact(name, graph, fid):
-    assert beta(graph, graph.faces[fid]) == Fraction(1, 3)
+    assert run_rules(graph, RuleSet.RS48).betas[fid] == Fraction(1, 3)
 
 
 @pytest.mark.parametrize("name,graph,fid", beta_family(),
@@ -43,4 +42,4 @@ def test_beta_family_lower_bound(name, graph, fid):
     threes = [v for v in f.vertex_set if graph.degree(v) == 3]
     bads = [v for v in threes if v in cls.bad3]
     assert len(threes) <= 2 or (len(threes) == 3 and len(bads) >= 2)
-    assert beta(graph, f) >= Fraction(1, 3)
+    assert run_rules(graph, RuleSet.RS48).betas[fid] >= Fraction(1, 3)

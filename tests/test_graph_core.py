@@ -9,6 +9,7 @@ classification is computed once per graph.
 
 import pytest
 
+from charge_fixtures import fraction_replay
 from dpcharge.catalog import DEFAULT_CATALOG, generate
 from dpcharge import structure
 from dpcharge.cycles import cycles_of_length, find_cycle
@@ -87,7 +88,7 @@ def test_audit_negatives_match_rescan(graph, rules):
         pytest.skip("discharging needs a connected graph")
     ledger = run_rules(graph, rules)
     report = audit(ledger)
-    final = ledger.final()
+    final = fraction_replay(ledger)
     assert report.final == final
     assert {n.key for n in report.negatives} == {k for k, x in final.items() if x < 0}
     reducible = find_reducible(graph)

@@ -71,7 +71,6 @@ def test_special_analysis_figure1():
     assert rec.excluded_triangles and rec.excluded_triangles[0][0] != rec.triangle_face
     assert rec.uniqueness_ok
     assert rec.other_specials_raw and not rec.other_specials
-    assert rec.all_ok
 
 
 def test_special_analysis_artifact_records_note_hypotheses():
@@ -79,7 +78,7 @@ def test_special_analysis_artifact_records_note_hypotheses():
     artifacts = [r for r in records if r.vertex != 0]
     assert artifacts
     for rec in artifacts:
-        assert not rec.all_ok
+        assert not (rec.identification_ok and rec.one_triangle_ok and rec.uniqueness_ok)
         assert any("minimum degree" in n for n in rec.hypothesis_notes)
 
 
