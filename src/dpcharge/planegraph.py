@@ -133,7 +133,7 @@ class PlaneGraph:
 
     @property
     def is_connected(self) -> bool:
-        return len(self.components) <= 1
+        return len(self.components) == 1  # a graph without vertices has no component
 
     def degree(self, v: int) -> int:
         return self.degrees[v]

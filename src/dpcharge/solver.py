@@ -13,15 +13,15 @@ prefix that was valid never becomes invalid later; the B_A search
 exploits this by building the order as the assignment order.
 
 Both finders are thin wrappers over one search core, _search, which runs
-on an explicit stack (the depth is not bounded by the interpreter's
-recursion limit) and does forward checking (Haralick & Elliott, AIJ
-1980).  A mode is two numbers per node: how many placed neighbors the
-node may have, and how many make a placed node block its unplaced
-neighbors.  The defective search keeps a fixed vertex order and the B_A
-search its fewest-colors-first order, so the pruning never changes which
-solution is found first; a node expanded is one feasible placement.
-A dead set of placed nodes that the B_A search reaches again is charged
-the nodes its first walk took instead of being walked again.
+on an explicit stack with one frame per open placed set (so the depth is
+not bounded by the recursion limit) and does forward checking (Haralick
+& Elliott, AIJ 1980).  A mode is two numbers per node: how many placed
+neighbors the node may have, and how many make a placed node block its
+unplaced neighbors.  The defective search keeps a fixed vertex order and
+the B_A search its fewest-colors-first order, so the pruning never
+changes which solution is found first; a node expanded is one feasible
+placement.  A dead set of placed nodes that the B_A search reaches again
+is charged the nodes its first walk took instead of being walked again.
 """
 
 from __future__ import annotations
@@ -132,13 +132,16 @@ def _search(cover: Cover, lim: Sequence[int], sat: Sequence[int],
     unplaced neighbors of q; only their vertices are re-checked, and an
     undo log restores their lists on backtrack.
 
-    With a fixed vertex order the candidate at depth i is fixed[i].
+    Each open placed set has a frame on the stack.  The start and each
+    placement open one unless the set is a transversal, leaves a vertex
+    without a feasible node, or is a remembered dead set.  With a fixed
+    vertex order the frame at depth i tries the nodes of fixed[i].
     Otherwise (fixed is None) the placement order is part of the answer,
     so every unplaced vertex is a candidate, in order of fewest feasible
     nodes (ties by id): vertices are bucketed by list length, so the
     first candidate is the lowest id of the lowest non-empty bucket, and
-    the full candidate order is built only when that candidate's nodes
-    all fail.
+    the later candidates' nodes are read as one list once its nodes are
+    spent (everything placed below the frame is undone by then).
 
     Below a prefix, the lists, saturations and candidate order depend
     only on its placed set.  The dynamic search stores each dead set with
@@ -166,14 +169,20 @@ def _search(cover: Cover, lim: Sequence[int], sat: Sequence[int],
     cap = 2 * n + 16
     for v in range(n):
         heaps[len(cols[v])].append(v)
-    zero = len(heaps[0])  # unplaced vertices without a feasible node
+    starved = not all(cols)  # some unplaced vertex has no feasible node
     order: list[int] = []
     logs: list[list[tuple[int, list[int]]]] = []  # per placement: (vertex, old list)
     failed: dict[frozenset[int], int] = {}  # dead placed set -> placements below it
     held = 0  # node ids in the keys of failed
     expanded = 0
 
-    def first_candidate() -> int:
+    def push(u: int) -> None:
+        h = heaps[len(cols[u])]
+        if len(h) >= cap:
+            h[:] = sorted(set(h))
+        heappush(h, u)
+
+    def first() -> int:
         for size in range(1, top + 1):
             h = heaps[size]
             while h:
@@ -183,131 +192,92 @@ def _search(cover: Cover, lim: Sequence[int], sat: Sequence[int],
                 heappop(h)
         raise AssertionError("no unplaced vertex with a feasible node")
 
-    def later_candidates() -> list[int]:
-        rest = [u for u in range(n) if at[u] < 0]
-        rest.sort(key=lambda u: len(cols[u]))  # stable: ties stay by id
-        return rest[1:]
+    def later() -> list[int]:
+        unplaced = sorted([u for u in range(n) if at[u] < 0], key=lambda u: len(cols[u]))
+        return [x for u in unplaced[1:] for x in cols[u]]  # sorted is stable: ties stay by id
 
-    # The open search nodes on the current path, one per placement: the
-    # feasible nodes of the candidate being tried, the index of the next
-    # one, the candidates after the first (None until needed), the index
-    # of the next one, and the count when it was entered.  The top node
-    # lives in the locals below; the others are on the stack.
-    stack: list[tuple] = []
-    nodes: list[int] = []
-    j = 0
-    rest: list[int] | None = None
-    pos = 0
-    start = 0
-    entering = True  # a placement was just made, or the search starts
+    stack: list[list] = []  # frames: [nodes, next index, count at entry, later pending]
     while True:
-        if entering:
-            entering = False
-            if len(order) == n:
-                status = SearchStatus.FOUND
-                break
-            dead = zero > 0
-            if not dead and failed:
-                size = failed.get(frozenset(order))
-                dead = size is not None
-                if dead and charge:
-                    expanded += size
-                    if expanded > node_limit:
-                        expanded = node_limit + 1
-                        status = SearchStatus.EXHAUSTED
-                        break
-            if not dead:
-                if order:
-                    stack.append((nodes, j, rest, pos, start))
-                u = first_candidate() if dynamic else fixed[len(order)]
-                nodes, j, rest, pos, start = cols[u], 0, None, 0, expanded
-                continue
-            if not order:
-                status = SearchStatus.NONE
-                break
-        elif j < len(nodes):
-            p = nodes[j]
-            j += 1
-            expanded += 1
+        # the walk starts or a placement was just made
+        if len(order) == n:
+            return SearchStatus.FOUND, order, expanded
+        size = failed.get(frozenset(order)) if failed and not starved else None
+        if size is not None and charge:
+            expanded += size
             if expanded > node_limit:
-                status = SearchStatus.EXHAUSTED
-                break
-            # place p, then re-check the vertices whose lists it can change
-            at[vert[p]] = p
-            order.append(p)
-            touched = []
-            if cnt[p] == sat[p]:  # saturated on placement: blocks its neighbors
-                for y in adj[p]:
-                    blk[y] += 1
-            for q in adj[p]:
-                cnt[q] += 1
-                u = vert[q]
-                if at[u] < 0:
-                    touched.append(u)
-                elif at[u] == q and cnt[q] == sat[q]:  # q saturates now
-                    for y in adj[q]:
-                        blk[y] += 1
-                        if blk[y] == 1 and at[vert[y]] < 0:
-                            touched.append(vert[y])
-            log = []
-            for u in touched:
-                old = cols[u]
-                new = [x for x in own[u] if cnt[x] <= lim[x] and not blk[x]]
-                if len(new) != len(old):  # lists only shrink as nodes are placed
-                    log.append((u, old))
-                    cols[u] = new
-                    if not new:
-                        zero += 1
-                    elif dynamic:
-                        h = heaps[len(new)]
-                        if len(h) >= cap:
-                            h[:] = sorted(set(h))
-                        heappush(h, u)
-            logs.append(log)
-            entering = True
-            continue
+                return SearchStatus.EXHAUSTED, order, node_limit + 1
+        if not starved and size is None:
+            u = first() if dynamic else fixed[len(order)]
+            frame = [cols[u], 0, expanded, dynamic]
+            stack.append(frame)
         else:
-            if rest is None:
-                rest = later_candidates() if dynamic else []
-            if pos < len(rest):
-                nodes, j = cols[rest[pos]], 0
-                pos += 1
-                continue
-            # every candidate failed
-            if not stack:
-                status = SearchStatus.NONE
-                break
-            if dynamic and (not charge or held + len(order) <= expanded):
-                failed[frozenset(order)] = expanded - start
-                held += len(order)
-            nodes, j, rest, pos, start = stack.pop()
-        # undo the last placement
-        for u, old in reversed(logs.pop()):
-            if not cols[u]:
-                zero -= 1
-            cols[u] = old
-            if dynamic:
-                h = heaps[len(old)]
-                if len(h) >= cap:
-                    h[:] = sorted(set(h))
-                heappush(h, u)
-        p = order.pop()
-        v = vert[p]
-        at[v] = -1
-        for q in adj[p]:
-            if cnt[q] == sat[q] and at[vert[q]] == q:
-                for y in adj[q]:
-                    blk[y] -= 1
-            cnt[q] -= 1
-        if cnt[p] == sat[p]:
+            frame = None
+        # until a frame has a node to try: undo the last placement while it
+        # has no open frame (frame is None), read later candidates, or close
+        while frame is None or frame[1] == len(frame[0]):
+            if frame is None:
+                if not order:
+                    return SearchStatus.NONE, order, expanded
+                for u, old in reversed(logs.pop()):
+                    cols[u] = old
+                    if dynamic:
+                        push(u)
+                p = order.pop()
+                at[vert[p]] = -1
+                for q in adj[p]:
+                    if cnt[q] == sat[q] and at[vert[q]] == q:
+                        for y in adj[q]:
+                            blk[y] -= 1
+                    cnt[q] -= 1
+                if cnt[p] == sat[p]:
+                    for y in adj[p]:
+                        blk[y] -= 1
+                if dynamic:
+                    push(vert[p])
+                frame = stack[-1]
+            elif frame[3]:
+                frame[0], frame[1], frame[3] = later(), 0, False
+            else:
+                stack.pop()
+                if dynamic and (not charge or held + len(order) <= expanded):
+                    failed[frozenset(order)] = expanded - frame[2]
+                    held += len(order)
+                frame = None
+        p = frame[0][frame[1]]
+        frame[1] += 1
+        expanded += 1
+        if expanded > node_limit:
+            return SearchStatus.EXHAUSTED, order, expanded
+        # place p, then re-check the vertices whose lists it can change
+        at[vert[p]] = p
+        order.append(p)
+        touched = []
+        if cnt[p] == sat[p]:  # saturated on placement: blocks its neighbors
             for y in adj[p]:
-                blk[y] -= 1
-        if dynamic:
-            h = heaps[len(cols[v])]
-            if len(h) >= cap:
-                h[:] = sorted(set(h))
-            heappush(h, v)
-    return status, order, expanded
+                blk[y] += 1
+        for q in adj[p]:
+            cnt[q] += 1
+            u = vert[q]
+            if at[u] < 0:
+                touched.append(u)
+            elif at[u] == q and cnt[q] == sat[q]:  # q saturates now
+                for y in adj[q]:
+                    blk[y] += 1
+                    if blk[y] == 1 and at[vert[y]] < 0:
+                        touched.append(vert[y])
+        log = []
+        starved = False
+        for u in touched:
+            old = cols[u]
+            new = [x for x in own[u] if cnt[x] <= lim[x] and not blk[x]]
+            if len(new) != len(old):  # lists only shrink as nodes are placed
+                log.append((u, old))
+                cols[u] = new
+                if not new:
+                    starved = True
+                elif dynamic:
+                    push(u)
+        logs.append(log)
 
 
 def find_defective_dp(cover: Cover, d: DefectVector,

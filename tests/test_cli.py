@@ -67,11 +67,24 @@ def test_discharge_negative_exit(figure1_file, tmp_path, capsys):
     assert doc["transfers"]
 
 
-def test_discharge_rejects_disconnected(tmp_path, capsys):
-    path = tmp_path / "two.pg"
-    path.write_text("planegraph two\nn 4\nv 0: 1\nv 1: 0\nv 2: 3\nv 3: 2\n")
+@pytest.mark.parametrize("text", [
+    "planegraph two\nn 4\nv 0: 1\nv 1: 0\nv 2: 3\nv 3: 2\n",
+    "planegraph empty\nn 0\n",  # no vertices: no component, so not connected
+], ids=["two-components", "no-vertices"])
+def test_discharge_rejects_disconnected(text, tmp_path, capsys):
+    path = tmp_path / "g.pg"
+    path.write_text(text)
     assert cli_dispatch(["discharge", str(path), "--rules", "rs46"]) == 2
     assert "requires a connected graph" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("mode", [["--mode", "defect", "--defects", "0,2,2"], ["--mode", "ba"]],
+                         ids=["defect", "ba"])
+def test_solve_without_vertices_finds_the_empty_transversal(mode, tmp_path, capsys):
+    path = tmp_path / "empty.pg"
+    path.write_text("planegraph empty\nn 0\n")
+    assert cli_dispatch(["solve", str(path), "--k", "3", "--cover", "identity"] + mode) == 0
+    assert "found (0 nodes)" in capsys.readouterr().out
 
 
 def test_solve_defect_k4(tmp_path, capsys):

@@ -134,6 +134,29 @@ def test_find_ba_single_vertex():
     assert out.ordered.order == ((0, 1),)
 
 
+def _outcome(finder: str, cover: Cover) -> tuple:
+    """(status, placed nodes or None, nodes expanded) of either finder."""
+    if finder == "ba":
+        out = find_ba(cover)
+        return out.status, out.ordered and out.ordered.order, out.nodes_expanded
+    out = find_defective_dp(cover, DefectVector((0, 2, 2)))
+    return out.status, out.transversal, out.nodes_expanded
+
+
+@pytest.mark.parametrize("finder", ["ba", "defect"])
+def test_search_without_vertices_finds_the_empty_transversal(finder):
+    status, placed, expanded = _outcome(finder, identity_cover(build_plane_graph({}), 3))
+    assert (status, len(placed), expanded) == (SearchStatus.FOUND, 0, 0)
+
+
+@pytest.mark.parametrize("finder", ["ba", "defect"])
+def test_search_with_an_empty_list_is_none_before_any_placement(finder):
+    # the leaf 2 comes last in the defective search's fixed order, so only
+    # the check before the first placement keeps the count at 0
+    cover = Cover(P3, 3, ((1, 2, 3), (1, 2, 3), ()), {})
+    assert _outcome(finder, cover) == (SearchStatus.NONE, None, 0)
+
+
 def test_find_ba_budget_exhausted():
     out = find_ba(identity_cover(generate("dodecahedron"), 3), node_limit=2)
     assert out.status is SearchStatus.EXHAUSTED
