@@ -33,17 +33,14 @@ class PlanePatch:
     is the face whose boundary walk contains the named dart.
     """
 
-    def __init__(self, rotations: dict[int, list[int]] | None = None):
-        self.rot: dict[int, list[int]] = {k: list(v) for k, v in (rotations or {}).items()}
+    def __init__(self, rotations: dict[int, list[int]]):
+        self.rot: dict[int, list[int]] = {k: list(v) for k, v in rotations.items()}
 
     @classmethod
     def from_cycle(cls, n: int) -> "PlanePatch":
         if n < 3:
             raise ValueError("cycle needs at least 3 vertices")
-        p = cls()
-        for v in range(n):
-            p.rot[v] = [(v - 1) % n, (v + 1) % n]
-        return p
+        return cls({v: [(v - 1) % n, (v + 1) % n] for v in range(n)})
 
     def new_vertex(self) -> int:
         v = len(self.rot)
@@ -206,19 +203,15 @@ def _figure1() -> PlaneGraph:
     })
 
 
+_NAMED = {"triangle": lambda: _cycle(3), "k4": _k4, "cube": _cube,
+          "dodecahedron": _dodecahedron, "figure1": _figure1}
+
+
 def generate(name: str) -> PlaneGraph:
     """Build a catalog graph by name.  Raises ValueError on unknown names."""
     key = name.strip().lower()
-    if key == "triangle":
-        return _cycle(3)
-    if key == "k4":
-        return _k4()
-    if key == "cube":
-        return _cube()
-    if key == "dodecahedron":
-        return _dodecahedron()
-    if key == "figure1":
-        return _figure1()
+    if key in _NAMED:
+        return _NAMED[key]()
     if key.startswith("cycle:"):
         try:
             n = int(key.split(":", 1)[1])

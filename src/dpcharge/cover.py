@@ -16,7 +16,7 @@ import json
 import re
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import accumulate, chain, combinations, permutations
+from itertools import accumulate, chain, combinations, permutations, product
 from math import comb, factorial
 from random import Random
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
@@ -173,7 +173,7 @@ def _all_matchings(left: Sequence[int], right: Sequence[int]) -> list[tuple[Pair
 
 
 def enumerate_covers(graph: PlaneGraph, k: int, edge_budget: int) -> Iterator[Cover]:
-    """Yield every cover exactly once (all matchings, independently per edge)."""
+    """Every cover exactly once, lazily (all matchings, independently per edge)."""
     if graph.edge_count > edge_budget:
         raise ValueError(
             f"edge budget exceeded: {graph.edge_count} edges > budget {edge_budget}")
@@ -181,18 +181,8 @@ def enumerate_covers(graph: PlaneGraph, k: int, edge_budget: int) -> Iterator[Co
     edges = sorted(graph.edges)
     lists = tuple(colors for _ in graph.vertices())
     per_edge = _all_matchings(colors, colors)
-
-    def rec(i: int, acc: dict[tuple[int, int], tuple[Pair, ...]]) -> Iterator[Cover]:
-        if i == len(edges):
-            yield Cover(graph, k, lists, dict(acc), (("kind", "enumerated"),))
-            return
-        for m in per_edge:
-            acc[edges[i]] = m
-            yield from rec(i + 1, acc)
-        if edges[i] in acc:
-            del acc[edges[i]]
-
-    return rec(0, {})
+    return (Cover(graph, k, lists, dict(zip(edges, ms)), (("kind", "enumerated"),))
+            for ms in product(per_edge, repeat=len(edges)))
 
 
 @dataclass(frozen=True)
@@ -263,18 +253,27 @@ def cover_from_json(text: str, graph: PlaneGraph | None = None) -> Cover:
 
 
 def cover_from_doc(doc: object, graph: PlaneGraph | None = None) -> Cover:
-    """Build a cover from a parsed cover document.  A malformed one, or
-    one that fails validate_cover, raises ValueError."""
+    """Build a cover from a parsed cover document.  A malformed one, one whose
+    lists name other vertices or whose embedded graph is not the one supplied,
+    or one that fails validate_cover raises ValueError."""
     from .rotfile import parse_rotation_file
 
     if not (isinstance(doc, dict) and {"k", "lists", "matchings"} <= doc.keys()):
         raise ValueError("cover JSON must be an object with k, lists and matchings")
-    if graph is None:
-        if not isinstance(doc.get("graph"), str):
-            raise ValueError("cover JSON has no embedded graph and none was supplied")
-        graph, _ = parse_rotation_file(doc["graph"])
+    if "graph" in doc:
+        if not isinstance(doc["graph"], str):
+            raise ValueError("cover JSON: the embedded graph must be rotation-file text")
+        embedded, _ = parse_rotation_file(doc["graph"])
+        if graph is None:
+            graph = embedded
+        elif embedded.rotations != graph.rotations:
+            raise ValueError("cover JSON: the embedded graph is not the graph supplied")
+    elif graph is None:
+        raise ValueError("cover JSON has no embedded graph and none was supplied")
     try:
         lists = tuple(tuple(doc["lists"][str(v)]) for v in graph.vertices())
+        if len(doc["lists"].keys()) != len(lists):  # it has every vertex id, so others too
+            raise ValueError(f"lists must name the graph's {graph.vertex_count} vertices only")
         matchings = {}
         for key, pairs in doc["matchings"].items():
             if (m := _KEY.fullmatch(key)) is None:

@@ -110,7 +110,7 @@ class Transfer(NamedTuple):
 @dataclass
 class ChargeLedger:
     graph: PlaneGraph
-    ruleset: RuleSet | None
+    ruleset: RuleSet
     initial: dict[str, Fraction]
     transfers: list[Transfer] = field(default_factory=list)
     flags: list[str] = field(default_factory=list)
@@ -120,7 +120,7 @@ class ChargeLedger:
     @property
     def unit(self) -> int:
         """Every charge is a whole number of 1/unit."""
-        return RULES[self.ruleset].unit if self.ruleset else 1
+        return RULES[self.ruleset].unit
 
     def _replay(self) -> dict[str, int]:
         """The final charges in units of 1/unit."""
@@ -145,15 +145,15 @@ def _in_units(q: Fraction, unit: int) -> int:
     return n
 
 
-def initial_charges(graph: PlaneGraph) -> ChargeLedger:
-    """Charge d(x) - 4 on every vertex and face; connected input only.
-    The keys are the vertices by id, then the faces by id."""
+def initial_charges(graph: PlaneGraph, ruleset: RuleSet) -> ChargeLedger:
+    """The rule set's ledger before any transfer: charge d(x) - 4 on every
+    vertex and face, keyed by vertex id, then face id; connected input only."""
     if not graph.is_connected:
         raise ValueError("discharging requires a connected graph (the -8 identity)")
     keys = [vertex_key(v) for v in graph.vertices()] + [face_key(f.id) for f in graph.faces]
     degrees = graph.degrees + tuple(f.degree for f in graph.faces)
     charge = {d: Fraction(d - 4) for d in set(degrees)}  # one object per degree
-    return ChargeLedger(graph, None, dict(zip(keys, map(charge.__getitem__, degrees))))
+    return ChargeLedger(graph, ruleset, dict(zip(keys, map(charge.__getitem__, degrees))))
 
 
 def _phase1(graph: PlaneGraph, cls: VertexClassification, table: RuleTable,
@@ -223,8 +223,7 @@ def run_rules(graph: PlaneGraph, ruleset: RuleSet) -> ChargeLedger:
     """
     cls = classify_vertices(graph)
     table = RULES[ruleset]
-    ledger = initial_charges(graph)
-    ledger.ruleset = ruleset
+    ledger = initial_charges(graph, ruleset)
     keys = list(ledger.initial)
     n = graph.vertex_count
     _phase1(graph, cls, table, ledger, keys[:n], keys[n:])
@@ -266,8 +265,7 @@ def audit(ledger: ChargeLedger) -> AuditReport:
     total1 = Fraction(sum(units.values()), unit)
     value = {u: Fraction(u, unit) for u in set(units.values())}
     final = {k: value[u] for k, u in units.items()}
-    profile = ledger.ruleset.profile if ledger.ruleset else Profile.NO48
-    hypothesis = check_profile(graph, profile)
+    hypothesis = check_profile(graph, ledger.ruleset.profile)
     notes = tuple(hypothesis.notes())
     reducible = find_reducible(graph)
     # configuration indices by vertex, so each negative element looks up

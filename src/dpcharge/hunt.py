@@ -23,7 +23,7 @@ from .cover import cover_from_json, cover_to_json, random_cover
 from .planegraph import PlaneGraph
 from .reporting import TOOL_VERSION
 from .rotfile import graph_hash
-from .solver import DEFAULT_NODE_LIMIT, BAOutcome, SearchStatus, find_ba
+from .solver import DEFAULT_NODE_LIMIT, SearchStatus, find_ba
 from .structure import Profile, check_profile
 
 
@@ -37,7 +37,6 @@ class HuntCandidate:
 
 @dataclass
 class HuntReport:
-    version: str
     command: str
     profile: Profile
     k: int
@@ -50,7 +49,7 @@ class HuntReport:
 
     def to_json(self) -> dict:
         return {
-            "version": self.version,
+            "version": TOOL_VERSION,
             "command": self.command,
             "profile": self.profile.value,
             "k": self.k,
@@ -67,11 +66,6 @@ class HuntReport:
         }
 
 
-def replay_cover(cover_json: str, node_limit: int = DEFAULT_NODE_LIMIT) -> BAOutcome:
-    """Re-run the solver on a serialized cover."""
-    return find_ba(cover_from_json(cover_json), node_limit=node_limit)
-
-
 def hunt(profile: Profile, k: int, seeds: range | list[int],
          graphs: list[tuple[str, PlaneGraph]], node_limit: int = DEFAULT_NODE_LIMIT,
          threads: int = 1, command: str | None = None) -> HuntReport:
@@ -82,7 +76,6 @@ def hunt(profile: Profile, k: int, seeds: range | list[int],
         command = f"hunt --profile {profile.value} --k {k} --seeds {span} {names}"
     admissible: list[tuple[str, PlaneGraph]] = []
     report = HuntReport(
-        version=TOOL_VERSION,
         command=command,
         profile=profile,
         k=k,
@@ -113,7 +106,7 @@ def hunt(profile: Profile, k: int, seeds: range | list[int],
                 report.exhausted.append((name, seed))
             else:
                 doc = cover_to_json(cover)
-                replay = replay_cover(doc, node_limit=node_limit)
+                replay = find_ba(cover_from_json(doc), node_limit=node_limit)
                 report.candidates.append(HuntCandidate(
                     graph_name=name, seed=seed, cover_json=doc,
                     replay_verdict=replay.status.value))

@@ -34,14 +34,13 @@ class Verdict(Enum):
 @dataclass(frozen=True)
 class LemmaItemResult:
     item: str
-    hypotheses_ok: bool
     hypothesis_notes: tuple[str, ...]
     conclusion_holds: bool
     witness: tuple | None
 
     @property
     def verdict(self) -> Verdict:
-        if not self.hypotheses_ok:
+        if self.hypothesis_notes:
             return Verdict.HYPOTHESIS_NOT_MET
         return Verdict.HOLDS if self.conclusion_holds else Verdict.VIOLATED
 
@@ -162,7 +161,6 @@ def check_structural_lemmas(graph: PlaneGraph, profile: Profile) -> LemmaReport:
         holds, witness = check(graph)
         results.append(LemmaItemResult(
             item=item,
-            hypotheses_ok=not notes,
             hypothesis_notes=tuple(notes),
             conclusion_holds=holds,
             witness=witness,

@@ -244,7 +244,7 @@ def ledger_to_json(ledger, report=None) -> dict:
         if id(n.hypothesis_notes) not in notes:
             notes[id(n.hypothesis_notes)] = list(n.hypothesis_notes)
     return {
-        "ruleset": ledger.ruleset.value if ledger.ruleset else None,
+        "ruleset": ledger.ruleset.value,
         "initial": {k: text[id(v)] for k, v in sorted(ledger.initial.items())},
         "transfers": [
             {"source": source, "target": target, "amount": text[id(amount)],

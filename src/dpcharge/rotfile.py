@@ -113,7 +113,7 @@ def parse_rotation_file(text: str) -> tuple[PlaneGraph, str]:
         raise RotationFileError(None, str(exc)) from exc
 
 
-def serialize_rotation_file(graph: PlaneGraph, name: str = "graph") -> str:
+def serialize_rotation_file(graph: PlaneGraph, name: str) -> str:
     """Canonical text: header, count, one 'v' line per vertex, ascending."""
     lines = [f"planegraph {name}", f"n {graph.vertex_count}"]
     for v in graph.vertices():
@@ -122,7 +122,7 @@ def serialize_rotation_file(graph: PlaneGraph, name: str = "graph") -> str:
     return "\n".join(lines) + "\n"
 
 
-def graph_hash(graph: PlaneGraph, name: str = "graph") -> str:
+def graph_hash(graph: PlaneGraph, name: str) -> str:
     """The first 16 hex digits of the sha256 of the graph's canonical text."""
     return hashlib.sha256(serialize_rotation_file(graph, name).encode("utf-8")).hexdigest()[:16]
 

@@ -42,7 +42,7 @@ def test_criterion_1_euler_identity(catalog):
     start = time.monotonic()
     for name, g in catalog.items():
         assert g.is_connected, name
-        total = audit(initial_charges(g)).sum_initial
+        total = audit(initial_charges(g, RuleSet.RS48)).sum_initial
         assert total == Fraction(-8), (name, total)
     assert time.monotonic() - start < 1.0
 

@@ -1,4 +1,5 @@
 import json
+import os
 
 import pytest
 
@@ -172,6 +173,43 @@ def test_hunt_cli(tmp_path, capsys):
     assert "skipped cube" in out
     doc = json.loads(report.read_text())
     assert doc["found"] == 5 and not doc["candidates"]
+
+
+P3_TEXT = "planegraph p3\nn 3\nv 0: 1\nv 1: 0 2\nv 2: 1\n"  # the triangle less edge 0-2
+
+
+def _p3_file(tmp_path, name="p3"):
+    path = tmp_path / "p3.pg"
+    path.write_text(P3_TEXT.replace("p3", name, 1))
+    return str(path)
+
+
+def test_hunt_candidate_replays_on_its_own_graph_only(tmp_path, capsys):
+    # a candidate cover embeds its graph; on another graph file it is an
+    # input error, not a search with the other graph's edges unmatched
+    p3, tri, out = _p3_file(tmp_path), str(tmp_path / "k3.pg"), tmp_path / "out"
+    assert cli_dispatch(["gen", "triangle", "-o", tri]) == 0
+    assert cli_dispatch(["hunt", p3, "--profile", "no48", "--k", "1", "--seeds", "0..0",
+                         "--save-dir", str(out)]) == 1
+    candidate = str(out / "candidate-p3-0.json")
+    solve = ["--mode", "ba", "--k", "1", "--cover", "json", "--cover-json", candidate]
+    capsys.readouterr()
+    assert cli_dispatch(["solve", p3, *solve]) == 1
+    assert "-> none (3 nodes)" in capsys.readouterr().out
+    assert cli_dispatch(["solve", tri, *solve]) == 2
+    assert "embedded graph is not the graph supplied" in capsys.readouterr().err
+
+
+def test_hunt_save_dir_rejects_a_graph_name_that_is_no_file_name(tmp_path, capsys):
+    for name in (f"a{os.sep}b", "a\0b"):
+        p3, out = _p3_file(tmp_path, name), tmp_path / "out"
+        argv = ["hunt", p3, "--profile", "no48", "--k", "1", "--seeds", "0..1"]
+        capsys.readouterr()
+        assert cli_dispatch(argv + ["--save-dir", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "cannot be part of a file name" in captured.err
+        assert not out.exists()
+        assert cli_dispatch(argv) == 1  # without --save-dir the name is only a label
 
 
 def test_version(capsys):
@@ -470,6 +508,10 @@ def _reversed_key(d):
     return {**d, "matchings": m}
 
 
+def _lists_of_other_vertices(d):
+    return _with(d, "lists", {**d["lists"], "7": [1, 2, 3], "x": "junk"})
+
+
 @pytest.mark.parametrize("command,edit,message", [
     ("solve", None, "cannot read cover"),
     ("solve", "{", "Expecting property name"),
@@ -488,10 +530,18 @@ def _reversed_key(d):
      "every color must be integers"),
     ("verify", lambda d: _with(d, "k", "3"), "k and every color must be integers"),
     ("verify", _reversed_key, "key not canonical"),
+    ("solve", _lists_of_other_vertices, "vertices only"),
+    ("verify", _lists_of_other_vertices, "vertices only"),
+    ("solve", lambda d: _with(d, "graph", P3_TEXT), "embedded graph is not the graph supplied"),
+    ("verify", lambda d: _with(d, "graph", P3_TEXT), "embedded graph is not the graph supplied"),
+    ("solve", lambda d: _with(d, "graph", None), "embedded graph must be rotation-file text"),
 ], ids=["missing-file", "not-json", "not-an-object", "no-k", "no-lists", "no-matchings",
         "lists-not-an-object", "key-not-int-int", "matching-not-a-list", "pair-of-one",
         "float-colour", "solve-reversed-key", "solve-key-and-reversed-key",
-        "verify-string-colour", "verify-string-k", "verify-reversed-key"])
+        "verify-string-colour", "verify-string-k", "verify-reversed-key",
+        "solve-lists-of-other-vertices", "verify-lists-of-other-vertices",
+        "solve-embedded-graph-of-another-graph", "verify-embedded-graph-of-another-graph",
+        "embedded-graph-not-text"])
 def test_malformed_cover_is_usage_error(tmp_path, capsys, command, edit, message):
     g_path, t_path = tmp_path / "k3.pg", tmp_path / "t.json"
     assert cli_dispatch(["gen", "triangle", "-o", str(g_path)]) == 0

@@ -101,7 +101,22 @@ def test_enumerate_covers_distinct():
 
 def test_enumerate_budget_guard():
     with pytest.raises(ValueError, match="budget"):
-        list(enumerate_covers(K3, 3, edge_budget=2))
+        enumerate_covers(K3, 3, edge_budget=2)  # at call time, not iterated
+
+
+# recorded with the recursive enumerator: 406 covers, in order
+ENUMERATE_GOLDEN = "db360e81e6d27730291104c9e0b354c3c6e6640ae235c249dd4be8b7d4ef4157"
+
+
+def test_enumerate_covers_sequence_is_pinned():
+    h = hashlib.sha256()
+    n = 0
+    for g in (K3, P3, build_plane_graph({0: []})):
+        for k in (1, 2):
+            for cover in enumerate_covers(g, k, 5):
+                h.update(repr(list(cover.matchings.items())).encode() + b"\n")
+                n += 1
+    assert (n, h.hexdigest()) == (406, ENUMERATE_GOLDEN)
 
 
 def test_validate_identity_ok():

@@ -14,14 +14,14 @@ F = Fraction
 
 def test_initial_charges_formula():
     g = generate("dodecahedron")
-    ledger = initial_charges(g)
+    ledger = initial_charges(g, RuleSet.RS48)
     assert all(ledger.initial[vertex_key(v)] == F(-1) for v in g.vertices())
     assert all(ledger.initial[face_key(f.id)] == F(1) for f in g.faces)
     assert audit(ledger).sum_initial == F(-8)
 
 
 def test_initial_charges_triangle():
-    ledger = initial_charges(generate("triangle"))
+    ledger = initial_charges(generate("triangle"), RuleSet.RS48)
     # 3 vertices at -2 plus 2 faces at -1
     assert sorted(ledger.initial.values()) == [F(-2)] * 3 + [F(-1)] * 2
     assert audit(ledger).sum_initial == F(-8)
@@ -30,12 +30,12 @@ def test_initial_charges_triangle():
 def test_initial_charges_reject_disconnected():
     g = build_plane_graph({0: [1], 1: [0], 2: [3], 3: [2]})
     with pytest.raises(ValueError, match="connected"):
-        initial_charges(g)
+        initial_charges(g, RuleSet.RS48)
 
 
 def test_euler_identity_across_catalog(catalog):
     for g in catalog.values():
-        assert audit(initial_charges(g)).sum_initial == F(-8)
+        assert audit(initial_charges(g, RuleSet.RS48)).sum_initial == F(-8)
 
 
 @pytest.mark.parametrize("ruleset", [RuleSet.RS48, RuleSet.RS46])
@@ -218,4 +218,3 @@ def test_replay_unit_is_the_table_denominator():
         assert table.unit == 12
         assert all((a * table.unit).denominator == 1 for a in table.amounts)
         assert run_rules(generate("k4"), ruleset).unit == table.unit
-    assert initial_charges(generate("k4")).unit == 1

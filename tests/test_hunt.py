@@ -1,9 +1,9 @@
 import tracemalloc
 
 from dpcharge.catalog import generate
-from dpcharge.cover import cover_to_json
-from dpcharge.hunt import hunt, replay_cover
-from dpcharge.solver import SearchStatus
+from dpcharge.cover import cover_from_json, cover_to_json
+from dpcharge.hunt import hunt
+from dpcharge.solver import SearchStatus, find_ba
 from dpcharge.structure import Profile
 
 from test_solver import paper_cover
@@ -30,8 +30,8 @@ def test_hunt_skips_profile_violations():
 
 def test_replay_reproduces_verdict():
     doc = cover_to_json(paper_cover())
-    first = replay_cover(doc)
-    second = replay_cover(doc)
+    first = find_ba(cover_from_json(doc))
+    second = find_ba(cover_from_json(doc))
     assert first.status is SearchStatus.NONE
     assert second.status is SearchStatus.NONE
 

@@ -3,9 +3,11 @@
 import importlib
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import dpcharge
+from dpcharge.reporting import TOOL_VERSION
 
 SRC = str(Path(dpcharge.__file__).resolve().parent.parent)
 
@@ -30,3 +32,12 @@ def test_python_m_version():
 def test_cli_import_leaves_the_oracle_unloaded():
     done = _run("-c", "import sys, dpcharge.cli; print('dpcharge.oracle' in sys.modules)")
     assert (done.returncode, done.stdout) == (0, "False\n")
+
+
+def test_pyproject_reads_the_version_from_the_package():
+    from setuptools.config.pyprojecttoml import read_configuration
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # [tool.setuptools] support is flagged beta
+        config = read_configuration(Path(SRC).parent / "pyproject.toml", expand=True)
+    assert config["project"]["version"] == TOOL_VERSION
