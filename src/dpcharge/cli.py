@@ -373,9 +373,11 @@ def _cmd_hunt(args) -> int:
             graphs.append((label, g))
         else:
             graphs.append((name, generate(name)))
-    for label, _ in graphs:  # candidate files are named after the graphs
+    for i, (label, _) in enumerate(graphs):  # candidate files are named after the graphs
         if args.save_dir and (os.sep in label or "\0" in label):
             raise CliError(f"--save-dir: graph name {label!r} cannot be part of a file name")
+        if args.save_dir and label in (other for other, _ in graphs[:i]):
+            raise CliError(f"--save-dir: two graphs are named {label!r}")
     try:
         seeds = _parse_seed_range(args.seeds)
     except ValueError:

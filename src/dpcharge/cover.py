@@ -230,8 +230,8 @@ def cover_doc(cover: Cover) -> dict:
     """The cover, without its graph, as a document of JSON values."""
     return {
         "k": cover.k,
-        "lists": {str(v): list(cover.lists[v]) for v in cover.graph.vertices()},
-        "matchings": {f"{u}-{v}": [list(p) for p in pairs]
+        "lists": {str(v): cover.lists[v] for v in cover.graph.vertices()},
+        "matchings": {f"{u}-{v}": pairs
                       for (u, v), pairs in sorted(cover.matchings.items())},
         "provenance": {key: val for key, val in cover.provenance},
     }

@@ -15,8 +15,8 @@ from .planegraph import PlaneGraph
 MAX_CYCLE_LENGTH = 12
 
 
-def _canonical_cycles(graph: PlaneGraph, k: int) -> Iterator[tuple[int, ...]]:
-    """The simple k-cycles in canonical form, in lexicographic order.
+def canonical_cycles(graph: PlaneGraph, k: int) -> Iterator[tuple[int, ...]]:
+    """The simple k-cycles in canonical form, lazily, in lexicographic order.
 
     A depth-first search from each start vertex over ascending neighbors
     visits paths in lexicographic order, so the first cycle it yields is
@@ -60,12 +60,12 @@ def cycles_of_length(graph: PlaneGraph, k: int) -> tuple[tuple[int, ...], ...]:
 
     k must lie in 3..12; longer enumeration is out of scope.
     """
-    return tuple(_canonical_cycles(graph, k))
+    return tuple(canonical_cycles(graph, k))
 
 
 def find_cycle(graph: PlaneGraph, k: int) -> tuple[int, ...] | None:
     """The least canonical k-cycle, or None; stops at the first one found."""
-    return next(_canonical_cycles(graph, k), None)
+    return next(canonical_cycles(graph, k), None)
 
 
 def has_chord(graph: PlaneGraph, cycle: tuple[int, ...]) -> bool:

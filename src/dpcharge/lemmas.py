@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Callable
 
-from .cycles import cycles_of_length, has_chord
+from .cycles import canonical_cycles, has_chord
 from .planegraph import AdjacencyKind, Face, PlaneGraph
 from .structure import Profile, check_profile, classify_vertices
 
@@ -110,7 +110,7 @@ def _seven_faces_are_chordless_cycles(graph: PlaneGraph):
     for f in graph.faces:
         if f.degree == 7 and not f.simple:
             return False, ("7-face not bounded by a cycle", f.id)
-    for cyc in cycles_of_length(graph, 7):
+    for cyc in canonical_cycles(graph, 7):  # in lexicographic order: the least comes first
         if has_chord(graph, cyc):
             return False, ("7-cycle with a chord", cyc)
     return True, None

@@ -7,7 +7,7 @@ from __future__ import annotations
 
 import functools
 from fractions import Fraction
-from itertools import repeat
+from itertools import chain, repeat
 from json.encoder import c_make_encoder, encode_basestring_ascii
 
 TOOL_VERSION = "0.1.0"
@@ -28,9 +28,13 @@ def dump_json(doc: dict) -> str:
     """``json.dumps(doc, sort_keys=True, indent=1)``, byte for byte.
 
     The stdlib writes indented output with its pure-Python encoder.  Here
-    the C encoder writes a container in one call wherever the container's
-    shape lets the indented text be recovered from that call's output,
-    and a container reached twice is written once per dump.
+    one C-encoder call writes a flat container, one whose children are
+    non-empty flat containers of one kind, or one whose children are
+    non-empty lists of non-empty flat lists, as a cover's matchings are.
+    Such a container goes item by item when a string in it could be read
+    as the text between two children, or the output shows a leaf that is
+    a container or an empty list.  A container reached twice is written
+    once per dump.
     """
     out: list[str] = []
     _write(doc, 0, out, {})
@@ -40,6 +44,7 @@ def dump_json(doc: dict) -> str:
 _CONTAINERS = (list, tuple, dict)
 _SCALARS = frozenset([str, int, float, bool, type(None)])
 _STR = frozenset([str])
+_LISTS = frozenset([list, tuple])
 _BRACKETS = {dict: "{}", list: "[]", tuple: "[]"}
 
 
@@ -120,48 +125,77 @@ def _write_one_kind(o, is_dict: bool, kind: type, level: int, out: list[str],
                     memo: dict) -> bool:
     """Write ``o``, whose children are non-empty containers of one
     ``kind``, if a fast path fits: one C-encoder call when the children
-    are flat, else the record path for a list of objects with one key
-    set.  False, having written nothing, when neither fits."""
+    are flat or lists of lists, else the record path for a list of objects
+    with one key set.  False, having written nothing, when none fits."""
     children = o.values() if is_dict else o
     grandchildren = map(dict.values, children) if kind is dict else children
+    text = None
     if all(map(_SCALARS.issuperset, map(map, repeat(type), grandchildren))):
-        text = _flat_children(o, is_dict, _BRACKETS[kind], level)
-        if text is not None:
-            out.append(text)
-            return True
+        text = _flat_children(o, is_dict, _BRACKETS[kind], level, 1)
+    elif kind is not dict and _LISTS.issuperset(map(type, chain.from_iterable(children))):
+        text = _flat_children(o, is_dict, "[]", level, 2)
     elif kind is dict and not is_dict:
         # str keys only: 1, 1.0 and True are equal keys with different text
         keys = o[0].keys()
         if _STR.issuperset(map(type, keys)) and all(map(keys.__eq__, map(dict.keys, o))):
             _write_records(o, level, out, memo)
             return True
-    return False
+    if text is not None:
+        out.append(text)
+    return text is not None
 
 
-def _flat_children(o, is_dict: bool, brackets: str, level: int) -> str | None:
-    """The text of ``o``, whose children are non-empty flat containers
-    with the ``brackets`` given, from one C-encoder call; None when a
-    string could be mistaken for the text between two children.
+def _flat_children(o, is_dict: bool, brackets: str, level: int, depth: int) -> str | None:
+    """The text of ``o`` from one C-encoder call.  Its children are
+    non-empty containers with the ``brackets`` given, flat at ``depth`` 1;
+    at depth 2, lists of lists, which the output must show flat and
+    non-empty.  None when it does not, or when a string could be mistaken
+    for the text between two children.
 
-    The encoder separates items at both depths with a line break and the
-    children's children's indent.  It never writes a raw line break in a
-    string, so a closing bracket, that separator and an opening bracket
-    (or a key's quote) can only be the join of two children.
+    The encoder separates items at every depth with a line break and the
+    leaves' indent.  It never writes a raw line break in a string, so a
+    closing bracket, that separator and an opening bracket (or a key's
+    quote) can only be a join of two containers.  Joins are re-indented
+    from the outside in, and once re-indented match no deeper pattern.
     """
-    ind0, ind1, ind2 = " " * level, " " * (level + 1), " " * (level + 2)
-    op, cl = brackets
-    text = "".join(_flat_writer(level + 2)(o, 0))
-    if not is_dict:
-        body = text[2:-2].replace(f"{cl},\n{ind2}{op}", f"\n{ind1}{cl},\n{ind1}{op}\n{ind2}")
-        return f"[\n{ind1}{op}\n{ind2}{body}\n{ind1}{cl}\n{ind0}]"
-    # each child opens after its key; a string holding the same text
-    # would be taken for an opener, so then the count is off
-    opener = f'": {op}'
-    if text.count(opener) != len(o):
+    text = "".join(_flat_writer(level + depth + 1)(o, 0))
+    # the grandchildren are lists, so a surplus bracket is a leaf container or in a string
+    if depth == 2 and (text.count("[") + text.count("{") != 1 + len(o) + sum(
+            map(len, o.values() if is_dict else o)) or "[]" in text):
         return None
-    body = text[1:-2].replace(opener, f"{opener}\n{ind2}").replace(
-        f'{cl},\n{ind2}"', f'\n{ind1}{cl},\n{ind1}"')
-    return f"{{\n{ind1}{body}\n{ind1}{cl}\n{ind0}}}"
+    op, cl, op_in, cl_in = _child_edges(brackets, level, depth)
+    ind0, ind1 = " " * level, " " * (level + 1)
+    if is_dict:
+        # each child opens after its key; a string holding the same text
+        # would be taken for an opener, so then the count is off
+        opener = f'": {op}'
+        if text.count(opener) != len(o):
+            return None
+        body = text[1:-1 - depth].replace(opener, f'": {op_in}').replace(
+            f'{cl},\n{" " * (level + depth + 1)}"', f'{cl_in},\n{ind1}"')
+        text = f"{{\n{ind1}{body}{cl_in}\n{ind0}}}"
+    else:
+        body = _list_joins(text[1 + depth:-1 - depth], brackets, level, depth)
+        text = f"[\n{ind1}{op_in}{body}{cl_in}\n{ind0}]"
+    return _list_joins(text, "[]", level + 1, 1) if depth == 2 else text
+
+
+def _list_joins(text: str, brackets: str, level: int, depth: int) -> str:
+    """``text`` with each join of two children of a list at ``level``, as
+    ``_child_edges`` describes them, re-indented."""
+    op, cl, op_in, cl_in = _child_edges(brackets, level, depth)
+    return text.replace(f"{cl},\n{' ' * (level + depth + 1)}{op}",
+                        f"{cl_in},\n{' ' * (level + 1)}{op_in}")
+
+
+@functools.cache
+def _child_edges(brackets: str, level: int, depth: int) -> tuple[str, str, str, str]:
+    """How a child at ``level`` + 1 with ``brackets``, its ends nested
+    ``depth`` deep in lists, opens and closes: compact, then indented."""
+    opens, closes = [brackets[0]] + ["["] * (depth - 1), ["]"] * (depth - 1) + [brackets[1]]
+    return ("".join(opens), "".join(closes),
+            "".join(f"{b}\n{' ' * (level + 2 + i)}" for i, b in enumerate(opens)),
+            "".join(f"\n{' ' * (level + depth - i)}{b}" for i, b in enumerate(closes)))
 
 
 def _write_records(o: list, level: int, out: list[str], memo: dict) -> None:

@@ -212,6 +212,22 @@ def test_hunt_save_dir_rejects_a_graph_name_that_is_no_file_name(tmp_path, capsy
         assert cli_dispatch(argv) == 1  # without --save-dir the name is only a label
 
 
+def test_hunt_save_dir_rejects_two_graphs_with_one_name(tmp_path, capsys):
+    # both candidates would be saved as candidate-g-0.json, the second over the first
+    p3, p4 = tmp_path / "g1.pg", tmp_path / "g2.pg"
+    p3.write_text(P3_TEXT.replace("p3", "g", 1))
+    p4.write_text("planegraph g\nn 4\nv 0: 1\nv 1: 0 2\nv 2: 1 3\nv 3: 2\n")
+    out = tmp_path / "out"
+    argv = ["hunt", str(p3), str(p4), "--profile", "no48", "--k", "1", "--seeds", "0..0"]
+    capsys.readouterr()
+    assert cli_dispatch(argv + ["--save-dir", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "two graphs are named 'g'" in captured.err
+    assert not out.exists()
+    assert cli_dispatch(argv) == 1  # without --save-dir the name is only a label
+    assert capsys.readouterr().out.count("candidate") == 1
+
+
 def test_version(capsys):
     code = cli_dispatch(["--version"])
     assert code == 0

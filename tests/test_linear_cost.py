@@ -1,5 +1,5 @@
-"""The input readers, the cover builders and the transversal checkers
-cost time linear in the input size.
+"""The input readers, the document writers, the cover builders and the
+transversal checkers cost time linear in the input size.
 
 Each one runs on a cycle:N input at N = 2,000 and at N = 16,000, the
 best of five runs with the cyclic garbage collector paused.  Eight times
@@ -15,7 +15,9 @@ from dataclasses import replace
 import pytest
 
 from dpcharge.catalog import generate
-from dpcharge.cover import cover_from_json, cover_to_json, identity_cover, random_cover
+from dpcharge.cover import (cover_doc, cover_from_json, cover_to_json, identity_cover,
+                            random_cover)
+from dpcharge.reporting import dump_json
 from dpcharge.rotfile import RotationFileError, parse_rotation_file, serialize_rotation_file
 from dpcharge.solver import DefectVector, OrderedTransversal, verify_ba, verify_defective
 
@@ -58,6 +60,27 @@ def _best_seconds(read, arg) -> float:
 ], ids=["parse_rotation_file", "cover_from_json", "defect-on-last-line"])
 def test_reader_time_is_linear_in_input_size(read, make):
     small, large = (_best_seconds(read, make(n)) for n in SIZES)
+    assert large / small < 20, (small, large)
+
+
+def _full_cover(n: int):
+    return random_cover(generate(f"cycle:{n}"), 3, 0, True)
+
+
+def _solve_document(n: int) -> dict:
+    """A document shaped as ``solve --json`` writes it."""
+    cover = _full_cover(n)
+    return {"version": "0", "command": "solve", "graph_hash": "0" * 16, "mode": "defect",
+            "k": 3, "assignment": {str(v): 1 + v % 3 for v in cover.graph.vertices()},
+            "cover": cover_doc(cover), "defects": [0, 2, 2]}
+
+
+@pytest.mark.parametrize("write,make", [
+    (cover_to_json, _full_cover),
+    (dump_json, _solve_document),
+], ids=["cover_to_json", "dump_json-solve"])
+def test_writer_time_is_linear_in_input_size(write, make):
+    small, large = (_best_seconds(write, make(n)) for n in SIZES)
     assert large / small < 20, (small, large)
 
 

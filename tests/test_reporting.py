@@ -58,16 +58,27 @@ def test_dump_json_matches_stdlib(doc):
 # fragments of the text between two containers, so a string can look like
 # a join or an opener
 JOINS = st.lists(st.sampled_from(['": [', '": {', ': [', ': {', '},', '],', '}, {', '"', '\\',
-                                  ',\n ', ' ', '[', '{', 'a']), max_size=5).map("".join)
+                                  ',\n ', ' ', '[', '{', 'a', '": [[', ']],', '\\"', '[]']),
+                 max_size=5).map("".join)
 KEYS = STRINGS | JOINS
 FLAT_SCALARS = st.none() | st.booleans() | st.integers(-3, 5) | st.floats() | STRINGS | JOINS
 FLAT_LIST = st.lists(FLAT_SCALARS, min_size=1, max_size=4)
 FLAT_DICT = st.dictionaries(KEYS, FLAT_SCALARS, min_size=1, max_size=4)
 FLAT = FLAT_LIST | FLAT_DICT | FLAT_LIST.map(tuple)
+# lists of flat lists or tuples, written in one call one level further
+# down; LOOSE breaks that shape the ways the writer must notice: scalars,
+# deeper or empty lists and objects among the flat lists
+NESTED = st.lists(FLAT_LIST | FLAT_LIST.map(tuple), min_size=1, max_size=4)
+LOOSE = st.lists(FLAT_LIST | FLAT_SCALARS | NESTED | st.just([]) | st.lists(FLAT_DICT, max_size=2),
+                 min_size=1, max_size=4)
 ONE_KIND = (st.lists(FLAT_LIST, min_size=1, max_size=5)
             | st.lists(FLAT_DICT, min_size=1, max_size=5)
             | st.dictionaries(KEYS, FLAT_LIST, min_size=1, max_size=5)
-            | st.dictionaries(KEYS, FLAT_DICT, min_size=1, max_size=5))
+            | st.dictionaries(KEYS, FLAT_DICT, min_size=1, max_size=5)
+            | st.lists(NESTED | NESTED.map(tuple), min_size=1, max_size=4)
+            | st.dictionaries(KEYS, NESTED | NESTED.map(tuple), min_size=1, max_size=4)
+            | st.lists(NESTED | LOOSE, min_size=1, max_size=4)
+            | st.dictionaries(KEYS, NESTED | LOOSE, min_size=1, max_size=4))
 
 
 @st.composite
@@ -104,6 +115,9 @@ def test_dump_json_shapes_match_stdlib(doc):
     [["],", "\\"], ["[", "]"]], [{1: [0]}, {True: [1]}], [{1.0: [0]}, {1: [1]}],
     [{"a": [1]}, {"b": [2]}], [{"a": [1], "b": {}}, {"b": {}, "a": []}], [(1, 2), [3]],
     {"k": ({"a": [1]}, {"a": [2]})}, [{"a": 1}, {}], [[1], []], {"a": [1], "b": []},
+    {"a": [[1, 2], 3, [[4]]]}, [[[1, 2], 3, [[4]]]], [["["], [[1]]], {"[": [5], "b": [[1]]},
+    {"a": [[], [1]]}, [[[1]], [[]]], {"a": [[{"b": 1}]]}, {"a": [[[1]]]}, {"k": ((1, 2), (3, 4))},
+    {'": [[': [[1]]}, {"a": [['": [[']]}, {'a"': [[1]], "b": [[2]]}, {"]],": [[1]], "b": [[2]]},
 ], ids=repr)
 def test_dump_json_shape_edges(doc):
     assert dump_json(doc) == stdlib(doc)

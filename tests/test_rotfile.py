@@ -75,6 +75,9 @@ def test_comments_and_blanks_ignored():
     text = "\n# hi\nplanegraph t\n\nn 2\n# mid\nv 0: 1\nv 1: 0\n\n"
     g, _ = parse_rotation_file(text)
     assert g.edge_count == 1
+    # CRLF line ends, and a comment and a blank line between the 'v' lines
+    g, _ = parse_rotation_file("planegraph t\r\nn 2\r\nv 1: 0\r\n# mid\r\n\r\nv 0: 1\r\n")
+    assert g.rotations == ((1,), (0,))
 
 
 def test_header_only_file_is_rejected_at_once(tmp_path, capsys):
@@ -187,9 +190,24 @@ HEAD = "planegraph x\nn 3\n"
     ("v 0: 1 1\nv 1: 0\nv 2:\n", "repeated neighbor in rotation of vertex 0"),
     ("v 0: 0 1\nv 1: 0\nv 2:\n", "loop at vertex 0"),
     ("v 0: 01 2\nv 1: 0\nv 2: 0\n", None),  # leading zeros are still numbers
+    ("v 00: 01 2\nv 01: 0\nv 2: 000\n", None),
+    ("v 0: 1 2\r\nv 1: 0\r\nv 2: 0\r\n", None),
+    ("v 0:\t1\t2\nv 1:\t0 \nv 2 :\t0\t\n", None),
+    ("v 0: 1 2\n\n# c\nv 1: 0\n  \t\nv 2: 0\n", None),
+    ("v 2: 0\nv 0: 1 2\nv 1: 0\n", None),
+    ("v 0: 1 2\nv\t1: 0\nv 2: 0\n", "line 4: expected 'v <id>: <neighbors>', got 'v\\t1: 0'"),
+    ("v 0: +1 2\nv 1: 0\nv 2: 0\n", "line 3: bad neighbor token '+1'"),
+    ("v +0: 1 2\nv 1: 0\nv 2: 0\n", "line 3: bad vertex id '+0'"),
+    ("v \u0660: 1 2\nv 1: 0\nv 2: 0\n", "line 3: bad vertex id '\u0660'"),
+    ("v 0: 1 2\nv 1 0\nv 2: 0\n", "line 4: bad vertex id '1 0'"),
+    ("v 0: 1 2\nv 0: 1 2\nv 1: 0\nv 2: 0\n", "line 4: duplicate rotation for vertex 0"),
+    ("v 0: 1 2\nv 1: x\nv 2: 0\n", "line 4: bad neighbor token 'x'"),
+    ("v 0: 1 2\nv 1: 0 x\nv 2: 0\nv 2: 0\nv 9: 0\n", "line 4: bad neighbor token 'x'"),
 ], ids=["superscript", "arabic-indic", "first-bad-token", "range-before-token",
         "leading-zeros-out-of-range", "negative", "empty-rotation", "repeated-neighbor",
-        "loop", "leading-zeros"])
+        "loop", "leading-zeros", "leading-zeros-in-ids", "crlf", "tabs", "comments-between",
+        "out-of-order", "tab-after-v", "plus-neighbor", "plus-id", "non-ascii-id", "no-colon",
+        "duplicate-middle", "bad-token-middle", "first-bad-line-of-several"])
 def test_malformed_rotation_lines(body, message):
     if message is None:
         g, _ = parse_rotation_file(HEAD + body)
