@@ -83,7 +83,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cover", choices=["identity", "random", "json"], default="identity")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--full", action="store_true", help="random cover: perfect matchings")
-    p.add_argument("--cover-json", metavar="PATH", help="cover file for --cover json")
+    p.add_argument("--cover-json", metavar="PATH",
+                   help="cover file; needed by --cover json, an error with any other --cover")
     p.add_argument("--limit", type=int, default=DEFAULT_NODE_LIMIT, help="search node budget")
     p.add_argument("--json", dest="json_out", metavar="OUT",
                    help="write the transversal (with its cover) for later verify")
@@ -218,6 +219,8 @@ def _cmd_discharge(args) -> int:
 
 
 def _make_cover(args, g: PlaneGraph) -> Cover:
+    if args.cover_json and args.cover != "json":
+        raise CliError(f"--cover-json is read only with --cover json, not --cover {args.cover}")
     if args.cover == "identity":
         return identity_cover(g, args.k)
     if args.cover == "random":

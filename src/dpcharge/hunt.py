@@ -16,7 +16,6 @@ assembly stays deterministic regardless.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 from .cover import cover_from_json, cover_to_json, random_cover
@@ -112,6 +111,8 @@ def hunt(profile: Profile, k: int, seeds: range | list[int],
                     replay_verdict=replay.status.value))
 
     if threads > 1:
+        from concurrent.futures import ThreadPoolExecutor  # not loaded by a sequential hunt
+
         with ThreadPoolExecutor(max_workers=threads) as pool:
             fold(pool.map(run, jobs))
     else:

@@ -1,10 +1,10 @@
 """Mechanized checks of the structural lemmas behind the two rule sets.
 
 Every item is checked in two layers: first the item's hypotheses on the
-given graph (absence of the profile's forbidden cycles, and minimum
-degree 3 where the item requires it), then the conclusion itself.  The
-conclusion is evaluated even when the hypotheses fail, which is what
-the contrapositive tests exercise: a failing conclusion on a failing
+given graph (absence of the profile's forbidden cycles, and the item's
+minimum degree), then the conclusion itself.  The conclusion is
+evaluated even when the hypotheses fail, which is what the
+contrapositive tests exercise: a failing conclusion on a failing
 hypothesis should come with a concrete forbidden cycle as the witness.
 
 A ``violated`` verdict (hypotheses hold, conclusion fails) never occurs
@@ -116,47 +116,53 @@ def _seven_faces_are_chordless_cycles(graph: PlaneGraph):
     return True, None
 
 
-# (item, needs minimum degree 3, check); the comment above each entry is its statement
-_ITEMS_NO48: tuple[tuple[str, bool, Check], ...] = (
+# (item, the least minimum degree it needs, check); the comment above each
+# entry is its statement.  The degrees below 3 come from trying every way
+# the named faces can share boundary vertices: without the forbidden
+# cycles, an item at 0 holds on every graph and one at 2 fails only with
+# a vertex of degree 1 (a triangle with a pendant edge or path).  The
+# same check puts no48.vi at 0; it stays at 3, since lowering it would
+# change the reports of the catalog graphs of minimum degree 2
+_ITEMS_NO48: tuple[tuple[str, int, Check], ...] = (
     # no two 3-faces are adjacent
-    ("no48.i", False, _no_adjacent_3_faces),
+    ("no48.i", 0, _no_adjacent_3_faces),
     # a 3-face adjacent to a 5-face is normally adjacent
-    ("no48.ii", False, _adjacent_implies_normal(3, 5)),
+    ("no48.ii", 2, _adjacent_implies_normal(3, 5)),
     # a 3-face adjacent to a 6-face is normally adjacent
-    ("no48.iii", True, _adjacent_implies_normal(3, 6)),
+    ("no48.iii", 3, _adjacent_implies_normal(3, 6)),
     # no 7-face is adjacent to a 3-face
-    ("no48.iv", True, _never_adjacent(3, 7)),
+    ("no48.iv", 3, _never_adjacent(3, 7)),
     # no two 5-faces are adjacent
-    ("no48.v", True, _never_adjacent(5, 5)),
+    ("no48.v", 3, _never_adjacent(5, 5)),
     # each 5-face is adjacent to at most two 3-faces
-    ("no48.vi", True, _at_most_k_triangles(5, 2)),
+    ("no48.vi", 3, _at_most_k_triangles(5, 2)),
     # each 6-face is adjacent to at most one 3-face
-    ("no48.vii", True, _at_most_k_triangles(6, 1)),
+    ("no48.vii", 3, _at_most_k_triangles(6, 1)),
 )
 
-_ITEMS_NO46: tuple[tuple[str, bool, Check], ...] = (
+_ITEMS_NO46: tuple[tuple[str, int, Check], ...] = (
     # no two 3-faces are adjacent
-    ("no46.i", False, _no_adjacent_3_faces),
+    ("no46.i", 0, _no_adjacent_3_faces),
     # no 3-face is adjacent to a 5-face
-    ("no46.ii", False, _never_adjacent(3, 5)),
+    ("no46.ii", 2, _never_adjacent(3, 5)),
     # no 3-face is adjacent to a 6-face
-    ("no46.iii", True, _never_adjacent(3, 6)),
+    ("no46.iii", 3, _never_adjacent(3, 6)),
     # every 7-face is bounded by a 7-cycle and every 7-cycle is chordless
-    ("no46.iv", False, _seven_faces_are_chordless_cycles),
+    ("no46.iv", 2, _seven_faces_are_chordless_cycles),
     # a 3-face adjacent to a 7-face is normally adjacent
-    ("no46.v", False, _adjacent_implies_normal(3, 7)),
+    ("no46.v", 2, _adjacent_implies_normal(3, 7)),
 )
 
 
 def check_structural_lemmas(graph: PlaneGraph, profile: Profile) -> LemmaReport:
     hypothesis = check_profile(graph, profile)
     cycle_notes = hypothesis.cycle_notes
-    degree_note = hypothesis.degree_note
     items = _ITEMS_NO48 if profile is Profile.NO48 else _ITEMS_NO46
     results = []
-    for item, needs_d3, check in items:
+    for item, least_degree, check in items:
         notes = list(cycle_notes)
-        if needs_d3 and degree_note is not None:
+        degree_note = hypothesis.degree_note(least_degree)
+        if degree_note is not None:
             notes.append(degree_note)
         holds, witness = check(graph)
         results.append(LemmaItemResult(

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from itertools import accumulate, chain
+from itertools import accumulate
 from typing import Mapping, Sequence
 
 
@@ -227,34 +227,15 @@ def _components(rotations: Sequence[Sequence[int]]) -> list[frozenset[int]]:
     return comps
 
 
-def _first_defect(rot_list: list[tuple[int, ...]]) -> str:
-    """The message for the first defect of a rotation system that is not
-    a symmetric, loop-free simple graph: vertex by vertex, a neighbor out
-    of range, a loop or a repeated neighbor; then, in dart order, the
-    first dart whose reverse is missing."""
-    n = len(rot_list)
-    for v, rot in enumerate(rot_list):
-        for w in rot:
-            if not 0 <= w < n:
-                return f"vertex {v}: neighbor {w} out of range"
-        if v in rot:
-            return f"loop at vertex {v}"
-        if len(set(rot)) != len(rot):
-            return f"repeated neighbor in rotation of vertex {v}"
-    nbrs = [set(rot) for rot in rot_list]
-    for v, rot in enumerate(rot_list):
-        for w in rot:
-            if v not in nbrs[w]:
-                return f"asymmetric rotation: {w} lists no edge back to {v}"
-    raise AssertionError("no defect found")
-
-
 def build_plane_graph(rotations: Mapping[int, Sequence[int]] | Sequence[Sequence[int]]) -> PlaneGraph:
     """Validate a rotation system and trace its faces.
 
     Rejects loops, repeated neighbors within a rotation, asymmetric
     rotations, and rotation systems that violate Euler's formula (such
     input describes a positive-genus embedding, not a plane graph).
+    The first defect is named: vertex by vertex, a neighbor out of range,
+    a loop or a repeated neighbor; then, in dart order, the first dart
+    whose reverse is missing; then Euler's formula.
     Disconnected input is accepted; the result is flagged through
     ``is_connected``.
 
@@ -276,18 +257,25 @@ def build_plane_graph(rotations: Mapping[int, Sequence[int]] | Sequence[Sequence
     # The successor of the dart (u, v) is (v, w), w following u at v, so
     # nxt[v] maps each neighbor u of v to the number of the dart after (u, v)
     offsets = [0, *accumulate(map(len, rot_list))]
-    nxt = [dict(zip(rot, [*range(b + 1, e), b]))
-           for rot, b, e in zip(rot_list, offsets, offsets[1:])]
-    heads = list(chain.from_iterable(rot_list))
-    if ((heads and (min(heads) < 0 or max(heads) >= n))
-            or any(map(dict.__contains__, nxt, range(n)))  # a loop
-            or sum(map(len, nxt)) != len(heads)):  # a repeated neighbor
-        raise EmbeddingError(_first_defect(rot_list))
-    try:
-        succ = [nxt[v][u] for u, rot in enumerate(rot_list) for v in rot]
-    except KeyError:
-        raise EmbeddingError(_first_defect(rot_list)) from None
-    del nxt, heads  # lowers the peak: the trace's arrays are built next
+    nxt = []
+    for v, (rot, b, e) in enumerate(zip(rot_list, offsets, offsets[1:])):
+        for w in rot:
+            if not 0 <= w < n:
+                raise EmbeddingError(f"vertex {v}: neighbor {w} out of range")
+        after = dict(zip(rot, [*range(b + 1, e), b]))
+        if v in after:
+            raise EmbeddingError(f"loop at vertex {v}")
+        if len(after) != len(rot):
+            raise EmbeddingError(f"repeated neighbor in rotation of vertex {v}")
+        nxt.append(after)
+    succ = []
+    for u, rot in enumerate(rot_list):
+        for v in rot:
+            d = nxt[v].get(u)
+            if d is None:
+                raise EmbeddingError(f"asymmetric rotation: {v} lists no edge back to {u}")
+            succ.append(d)
+    del nxt  # lowers the peak: the trace's arrays are built next
 
     # succ is a permutation, so each orbit closes at the dart it left from;
     # a vertex whose darts all lie on faces met earlier is skipped

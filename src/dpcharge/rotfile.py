@@ -10,15 +10,14 @@
 Comment lines start with '#'; blank lines are ignored.  Numbers are
 ASCII digits.  Vertex ids run 0..n-1, each with one 'v' line (empty
 for an isolated vertex) that lists its neighbors in cyclic order.
-Parse errors carry the offending line number; embedding errors from the
-builder are surfaced verbatim.
+Each token is checked as it is read, so a parse error names the first
+bad one and carries its line number; embedding errors from the builder
+are surfaced verbatim.
 """
 
 from __future__ import annotations
 
 import hashlib
-from itertools import chain, repeat
-from typing import NoReturn
 
 from .planegraph import EmbeddingError, PlaneGraph, build_plane_graph
 
@@ -45,31 +44,24 @@ def _to_int(line_no: int, token: str, what: str) -> int:
                                          f"too many to convert") from None
 
 
-def _rotations(lines: list[str], count: int) -> dict[int, tuple[int, ...]] | None:
-    """The rotations of the stripped 'v' lines among ``lines``, every id
-    and neighbor converted at once; None when a line is bad."""
-    body = [line for line in lines if line and line[0] != "#"]
-    if not body:
-        return {}
-    heads, _, tails = zip(*[line[2:].partition(":") for line in body])
-    ids, tokens = list(map(str.strip, heads)), list(map(str.split, tails))
-    digits = "".join(ids) + "".join(chain.from_iterable(tokens))
-    if not (all(map(str.startswith, body, repeat("v "))) and all(ids)
-            and digits.isascii() and digits.isdigit()):
-        return None
-    try:
-        rotations = dict(zip(map(int, ids), map(tuple, map(map, repeat(int), tokens))))
-    except ValueError:  # a number past int()'s digit limit
-        return None
-    in_range = max(chain(rotations, *rotations.values())) < count
-    return rotations if len(rotations) == len(body) and in_range else None
-
-
-def _first_bad_line(lines: list[str], start: int, count: int) -> NoReturn:
-    """Raise the error of the first bad 'v' line after line ``start``."""
-    seen: set[int] = set()
-    for line_no, line in enumerate(lines[start:], start=start + 1):
-        if not line or line.startswith("#"):
+def parse_rotation_file(text: str) -> tuple[PlaneGraph, str]:
+    """Parse the grammar above; returns (graph, name)."""
+    name: str | None = None
+    count: int | None = None
+    rotations: dict[int, tuple[int, ...]] = {}
+    for line_no, line in enumerate(map(str.strip, text.splitlines()), start=1):
+        if not line or line[0] == "#":
+            continue
+        if count is None:
+            parts = line.split()
+            if name is None:
+                if len(parts) != 2 or parts[0] != "planegraph":
+                    raise RotationFileError(line_no, "expected header 'planegraph <name>'")
+                name = parts[1]
+                continue
+            if len(parts) != 2 or parts[0] != "n" or not _is_number(parts[1]):
+                raise RotationFileError(line_no, "expected 'n <count>'")
+            count = _to_int(line_no, parts[1], "count")
             continue
         if not line.startswith("v "):
             raise RotationFileError(line_no, f"expected 'v <id>: <neighbors>', got {line!r}")
@@ -80,40 +72,17 @@ def _first_bad_line(lines: list[str], start: int, count: int) -> NoReturn:
         v = _to_int(line_no, head, "vertex id")
         if v >= count:
             raise RotationFileError(line_no, f"vertex id {v} out of range 0..{count - 1}")
-        if v in seen:
+        if v in rotations:
             raise RotationFileError(line_no, f"duplicate rotation for vertex {v}")
-        seen.add(v)
+        nbrs = []
         for token in tail.split():
             if not _is_number(token):
                 raise RotationFileError(line_no, f"bad neighbor token {token!r}")
             u = _to_int(line_no, token, "neighbor")
             if u >= count:
                 raise RotationFileError(line_no, f"neighbor {u} out of range 0..{count - 1}")
-    raise AssertionError("no bad line found")
-
-
-def parse_rotation_file(text: str) -> tuple[PlaneGraph, str]:
-    """Parse the grammar above; returns (graph, name).  The 'v' lines are
-    converted at once, and read one by one only to name a bad one."""
-    name: str | None = None
-    count: int | None = None
-    lines = list(map(str.strip, text.splitlines()))
-    for line_no, line in enumerate(lines, start=1):
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split()
-        if name is None:
-            if len(parts) != 2 or parts[0] != "planegraph":
-                raise RotationFileError(line_no, "expected header 'planegraph <name>'")
-            name = parts[1]
-            continue
-        if len(parts) != 2 or parts[0] != "n" or not _is_number(parts[1]):
-            raise RotationFileError(line_no, "expected 'n <count>'")
-        count = _to_int(line_no, parts[1], "count")
-        rotations = _rotations(lines[line_no:], count)
-        if rotations is None:
-            _first_bad_line(lines, line_no, count)
-        break
+            nbrs.append(u)
+        rotations[v] = tuple(nbrs)
     if name is None:
         raise RotationFileError(None, "missing 'planegraph <name>' header")
     if count is None:

@@ -78,11 +78,11 @@ class HypothesisReport:
     def cycles_ok(self) -> bool:
         return self.four_cycle is None and self.other_cycle is None
 
-    @property
-    def degree_note(self) -> str | None:
-        if self.min_degree >= 3:
+    def degree_note(self, least: int) -> str | None:
+        """The note for a minimum degree below ``least``, else None."""
+        if self.min_degree >= least:
             return None
-        return f"minimum degree {self.min_degree} < 3 (vertex {self.min_degree_witness})"
+        return f"minimum degree {self.min_degree} < {least} (vertex {self.min_degree_witness})"
 
     @property
     def cycle_notes(self) -> list[str]:
@@ -95,8 +95,9 @@ class HypothesisReport:
 
     def notes(self) -> list[str]:
         out = [] if self.connected else ["graph is disconnected"]
-        if self.degree_note is not None:
-            out.append(self.degree_note)
+        degree_note = self.degree_note(3)
+        if degree_note is not None:
+            out.append(degree_note)
         return out + self.cycle_notes
 
 

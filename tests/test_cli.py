@@ -124,6 +124,20 @@ def test_solve_json_cover_records_the_cover_k(tmp_path):
     assert cli_dispatch(["verify", str(g_path), "--transversal", str(t_path)]) == 0
 
 
+@pytest.mark.parametrize("cover", ["identity", "random"])
+def test_solve_rejects_a_cover_json_it_would_not_read(cover, tmp_path, capsys):
+    # the cover file is read only with --cover json; named beside another
+    # cover, even a missing file would otherwise be ignored
+    g_path = tmp_path / "t.pg"
+    assert cli_dispatch(["gen", "triangle", "-o", str(g_path)]) == 0
+    capsys.readouterr()
+    argv = ["solve", str(g_path), "--mode", "ba", "--cover-json", str(tmp_path / "nosuch.json")]
+    assert cli_dispatch(argv + (["--cover", cover] if cover == "random" else [])) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == (
+        "", f"error: --cover-json is read only with --cover json, not --cover {cover}\n")
+
+
 def test_solve_exhausted_exit(tmp_path):
     path = tmp_path / "d.pg"
     cli_dispatch(["gen", "dodecahedron", "-o", str(path)])

@@ -1,6 +1,10 @@
+import pytest
+
 from dpcharge.catalog import PlanePatch, generate
+from dpcharge.cli import cli_dispatch
 from dpcharge.lemmas import (Verdict, check_structural_lemmas,
                              special_vertex_analysis)
+from dpcharge.rotfile import load_rotation_file
 from dpcharge.structure import Profile
 
 
@@ -52,6 +56,37 @@ def test_no_violated_verdicts_on_catalog(catalog):
         for profile in (Profile.NO48, Profile.NO46):
             report = check_structural_lemmas(g, profile)
             assert not report.violated, (name, profile)
+
+
+# a triangle with a pendant edge, and one with a pendant path of two edges:
+# each meets both profiles' cycle hypotheses, and the items that need
+# minimum degree 2 fail on them (no48.ii and no46.ii on the first, no46.iv
+# and no46.v on the second)
+PENDANT_TRIANGLES = {
+    "pendant-edge": ("v 0: 1 2\nv 1: 2 0 3\nv 2: 0 1\nv 3: 1\n", 4,
+                     ("no48.ii", "no46.ii")),
+    "pendant-path": ("v 0: 1 2\nv 1: 2 0 3\nv 2: 0 1\nv 3: 1 4\nv 4: 3\n", 5,
+                     ("no46.iv", "no46.v")),
+}
+
+
+@pytest.mark.parametrize("profile", ["no48", "no46"])
+@pytest.mark.parametrize("name", PENDANT_TRIANGLES)
+def test_degree_one_vertex_fails_a_hypothesis_not_a_lemma(name, profile, tmp_path, capsys):
+    body, n, failing = PENDANT_TRIANGLES[name]
+    path = tmp_path / "g.pg"
+    path.write_text(f"planegraph {name}\nn {n}\n{body}")
+    assert cli_dispatch(["structure", str(path), "--profile", profile]) == 0
+    assert "violated" not in capsys.readouterr().out
+    report = check_structural_lemmas(load_rotation_file(str(path))[0], Profile(profile))
+    by_item = {r.item: r for r in report.items}
+    for item in failing:
+        if item in by_item:
+            assert not by_item[item].conclusion_holds
+            assert by_item[item].hypothesis_notes == (f"minimum degree 1 < 2 (vertex {n - 1})",)
+    assert by_item[f"{profile}.i"].verdict is Verdict.HOLDS
+    assert by_item[f"{profile}.iii"].hypothesis_notes == (
+        f"minimum degree 1 < 3 (vertex {n - 1})",)
 
 
 def test_no46_seven_face_items():

@@ -39,6 +39,17 @@ def _parse_rejected(text: str) -> None:
         parse_rotation_file(text)
 
 
+def _last_dart_asymmetric(n: int) -> str:
+    # the last vertex also lists vertex 1, which lists no edge back: the
+    # builder finds that only at the file's last darts
+    return _rotation_text(n).rstrip("\n") + " 1\n"
+
+
+def _build_rejected(text: str) -> None:
+    with pytest.raises(RotationFileError, match="asymmetric rotation: 1 lists no edge back"):
+        parse_rotation_file(text)
+
+
 def _best_seconds(read, arg) -> float:
     times = []
     for _ in range(5):
@@ -57,7 +68,9 @@ def _best_seconds(read, arg) -> float:
     (parse_rotation_file, _rotation_text),
     (cover_from_json, lambda n: cover_to_json(random_cover(generate(f"cycle:{n}"), 3, 0, True))),
     (_parse_rejected, _last_line_defect),
-], ids=["parse_rotation_file", "cover_from_json", "defect-on-last-line"])
+    (_build_rejected, _last_dart_asymmetric),
+], ids=["parse_rotation_file", "cover_from_json", "defect-on-last-line",
+        "asymmetric-last-dart"])
 def test_reader_time_is_linear_in_input_size(read, make):
     small, large = (_best_seconds(read, make(n)) for n in SIZES)
     assert large / small < 20, (small, large)

@@ -34,6 +34,11 @@ def test_cli_import_leaves_the_oracle_unloaded():
     assert (done.returncode, done.stdout) == (0, "False\n")
 
 
+def test_cli_import_leaves_the_thread_pool_unloaded():
+    done = _run("-c", "import sys, dpcharge.cli; print('concurrent.futures' in sys.modules)")
+    assert (done.returncode, done.stdout) == (0, "False\n")
+
+
 def test_pyproject_reads_the_version_from_the_package():
     from setuptools.config.pyprojecttoml import read_configuration
 

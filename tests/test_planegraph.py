@@ -132,8 +132,12 @@ def test_incident_faces_corner_multiplicity():
     ([(1, 2, 3), (0, 2, 3), (0, 1, 3), (0, 1, 2)],
      "Euler formula violated: V-E+F = 4-6+2 = 0 != 2 = 2 x 1 components "
      "(not a plane embedding)"),
+    # a defect of a later vertex outranks a missing reverse at an earlier one
+    ([(1,), (), (2,)], "loop at vertex 2"),
+    ([(1,), (), (5,)], "vertex 2: neighbor 5 out of range"),
 ], ids=["out-of-range", "negative", "loop-first", "repeated", "range-at-second-vertex",
-        "missing-reverse", "missing-reverse-later", "torus"])
+        "missing-reverse", "missing-reverse-later", "torus", "loop-before-reverse",
+        "range-before-reverse"])
 def test_rejection_messages(rotations, message):
     with pytest.raises(EmbeddingError) as info:
         build_plane_graph(rotations)
