@@ -1,9 +1,12 @@
 #!/usr/bin/env python3
-"""Counterexample hunt across the catalog for both profiles.
+"""Hunt across the catalog for both profiles.
 
 Every admissible graph gets a batch of seeded full-matching covers; any
-definitive "none" from the solver would falsify the corresponding
-theorem and is persisted for replay.  Expected outcome: zero candidates.
+definitive "none" from the order-constrained (B_A) solver is a candidate,
+persisted for replay.  A candidate is a cover with no B_A coloring, to be
+inspected, not a counterexample to the paper's DP-(0,2,2) theorem: on one
+transversal, B_A neither implies (0,2,2) nor follows from it.  Expected
+outcome: zero candidates.
 """
 
 import argparse

@@ -1,7 +1,7 @@
 """Command-line surface.
 
 Subcommands: gen, faces, structure, discharge, solve, verify, hunt.
-Exit codes: 0 success / verdict passes; 1 violation or counterexample
+Exit codes: 0 success / verdict passes; 1 violation or hunt
 candidate; 2 input or usage error; 3 search budget exhausted.
 """
 
@@ -21,8 +21,7 @@ from .discharge import RuleSet, audit, run_rules
 from .hunt import hunt as run_hunt
 from .lemmas import Verdict, check_structural_lemmas, special_vertex_analysis
 from .planegraph import EmbeddingError, PlaneGraph
-from .reporting import (TOOL_VERSION, dump_json, frac_str, frac_texts, ledger_to_json,
-                        reducible_to_json)
+from .reporting import TOOL_VERSION, dump_json, frac_str, ledger_to_json, reducible_to_json
 from .rotfile import RotationFileError, graph_hash, load_rotation_file, serialize_rotation_file
 from .solver import (DEFAULT_NODE_LIMIT, DefectVector, OrderedTransversal, SearchStatus,
                      find_ba, find_defective_dp, verify_ba, verify_defective)
@@ -79,10 +78,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("file")
     p.add_argument("--mode", choices=["ba", "defect"], required=True)
     p.add_argument("--k", type=int, default=3)
-    p.add_argument("--defects", help="comma-separated budgets, e.g. 0,2,2")
+    p.add_argument("--defects", help="comma-separated budgets, e.g. 0,2,2; "
+                   "needed by --mode defect, an error with --mode ba")
     p.add_argument("--cover", choices=["identity", "random", "json"], default="identity")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--full", action="store_true", help="random cover: perfect matchings")
+    p.add_argument("--seed", type=int,
+                   help="random cover seed (default 0); an error with any other --cover")
+    p.add_argument("--full", action="store_true",
+                   help="random cover: perfect matchings; an error with any other --cover")
     p.add_argument("--cover-json", metavar="PATH",
                    help="cover file; needed by --cover json, an error with any other --cover")
     p.add_argument("--limit", type=int, default=DEFAULT_NODE_LIMIT, help="search node budget")
@@ -96,7 +98,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="check the left-to-right order conditions")
     p.add_argument("--defects", help="check defective budgets d1,d2,...")
 
-    p = sub.add_parser("hunt", help="seeded counterexample hunt across graphs")
+    p = sub.add_parser("hunt", help="seeded hunt for covers with no B_A coloring")
     p.add_argument("graphs", nargs="*",
                    help="catalog names or rotation files (default: whole catalog)")
     p.add_argument("--profile", choices=[x.value for x in Profile], required=True)
@@ -198,10 +200,9 @@ def _cmd_discharge(args) -> int:
     for note in ledger.flags + ledger.rule_violations:
         print(f"  note: {note}")
     if report.negatives:
-        text = frac_texts([n.final for n in report.negatives])
         lines = [f"  elements with negative final charge: {len(report.negatives)}"]
         for n in report.negatives:
-            lines.append(f"    {n.key}: {text[id(n.final)]}")
+            lines.append(f"    {n.key}: {frac_str(n.final)}")
             lines += [f"      reducible [{r.kind}] {r.detail}" for r in n.nearby_reducible]
             lines += [f"      hypothesis: {note}" for note in n.hypothesis_notes]
         print("\n".join(lines))
@@ -218,13 +219,16 @@ def _cmd_discharge(args) -> int:
     return EXIT_VIOLATION if report.negatives else EXIT_OK
 
 
+# each option of solve that is read with one value of another: (option, other, value)
+_READ_ONLY_WITH = (("--cover-json", "cover", "json"), ("--defects", "mode", "defect"),
+                   ("--seed", "cover", "random"), ("--full", "cover", "random"))
+
+
 def _make_cover(args, g: PlaneGraph) -> Cover:
-    if args.cover_json and args.cover != "json":
-        raise CliError(f"--cover-json is read only with --cover json, not --cover {args.cover}")
     if args.cover == "identity":
         return identity_cover(g, args.k)
     if args.cover == "random":
-        return random_cover(g, args.k, args.seed, args.full)
+        return random_cover(g, args.k, args.seed or 0, args.full)
     if not args.cover_json:
         raise CliError("--cover json requires --cover-json PATH")
     try:
@@ -248,6 +252,11 @@ def _cmd_solve(args) -> int:
     _check_limit(args.limit)
     _check_k(args.k)
     g, name = _load(args.file)
+    for option, other, value in _READ_ONLY_WITH:  # an option given is never ignored
+        given = getattr(args, option[2:].replace("-", "_"))
+        if given is not None and given is not False and getattr(args, other) != value:
+            raise CliError(f"{option} is read only with --{other} {value}, "
+                           f"not --{other} {getattr(args, other)}")
     cover = _make_cover(args, g)
     if args.mode == "defect":
         if not args.defects:
@@ -258,13 +267,12 @@ def _cmd_solve(args) -> int:
         ordered = None
         assignment = outcome.transversal
     else:
-        out = find_ba(cover, node_limit=args.limit)
-        outcome = out
-        ordered = out.ordered
+        outcome = find_ba(cover, node_limit=args.limit)
+        ordered = outcome.ordered
         assignment = ordered.assignment if ordered else None
 
     print(f"{name}: mode {args.mode}, cover {args.cover}"
-          + (f" seed {args.seed} full {args.full}" if args.cover == "random" else "")
+          + (f" seed {args.seed or 0} full {args.full}" if args.cover == "random" else "")
           + f" -> {outcome.status.value} ({outcome.nodes_expanded} nodes)")
     if assignment:
         items = " ".join(f"{v}->{assignment[v]}" for v in sorted(assignment))

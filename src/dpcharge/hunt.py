@@ -1,11 +1,12 @@
-"""Counterexample hunting: seeded adversarial covers against the solver.
+"""Hunting: seeded adversarial covers against the order-constrained solver.
 
 For each admissible graph and each seed, build a full-matching random
-cover and search for an order-constrained coloring.  A definitive
-"none" would falsify the corresponding theorem, so each one is recorded
-as a candidate with the full cover serialized for replay; the replay is
-performed immediately and its verdict must match.  Budget exhaustions
-are listed separately: they decide nothing.
+cover and search for an order-constrained (B_A) coloring.  A definitive
+"none" is a candidate, a cover with no B_A coloring to be inspected (not
+a counterexample to the paper's DP-(0,2,2) theorem: on one transversal,
+B_A neither implies (0,2,2) nor follows from it).  Its full cover is
+serialized and replayed at once, and the verdicts must match.  Budget
+exhaustions are listed separately: they decide nothing.
 
 Graphs that fail the profile's cycle conditions are skipped with a
 note, since the theorems say nothing about them.

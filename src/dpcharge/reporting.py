@@ -18,12 +18,6 @@ def frac_str(x: Fraction | int) -> str:
     return f"{n}/{d}" if d != 1 else str(n)
 
 
-def frac_texts(values) -> dict[int, str]:
-    """``frac_str`` of each distinct object among ``values``, by id; the
-    objects must outlive the table."""
-    return {i: frac_str(q) for i, q in dict(zip(map(id, values), values)).items()}
-
-
 def dump_json(doc: dict) -> str:
     """``json.dumps(doc, sort_keys=True, indent=1)``, byte for byte.
 
@@ -33,11 +27,10 @@ def dump_json(doc: dict) -> str:
     non-empty lists of non-empty flat lists, as a cover's matchings are.
     Such a container goes item by item when a string in it could be read
     as the text between two children, or the output shows a leaf that is
-    a container or an empty list.  A container reached twice is written
-    once per dump.
+    a container or an empty list.
     """
     out: list[str] = []
-    _write(doc, 0, out, {})
+    _write(doc, 0, out)
     return "".join(out)
 
 
@@ -61,10 +54,11 @@ def _flat_writer(level: int):
                           ": ", ",\n" + " " * level, True, False, True)
 
 
-def _write(o, level: int, out: list[str], memo: dict) -> None:
-    """Append the text of ``o`` to ``out``.  ``memo`` maps a container
-    already written at ``level`` to the slice of ``out`` holding it, and
-    from its second use on to that slice's text."""
+def _write(o, level: int, out: list[str]) -> None:
+    """Append the text of ``o``, whose items sit at ``level`` + 1, to
+    ``out``.  A non-empty container is one C-encoder call when it is flat
+    or its children are flat containers of one kind, the record path for a
+    list of objects with one key set, and item by item otherwise."""
     if isinstance(o, str):
         out.append(encode_basestring_ascii(o))
         return
@@ -74,33 +68,12 @@ def _write(o, level: int, out: list[str], memo: dict) -> None:
     if not o:
         out.append("{}" if isinstance(o, dict) else "[]")
         return
-    key = (id(o), level)  # every container lives as long as the dump
-    if not _recall(key, out, memo):
-        start = len(out)
-        _write_container(o, level, out, memo)
-        memo[key] = (start, len(out))
-
-
-def _recall(key, out: list[str], memo: dict) -> bool:
-    hit = memo.get(key)
-    if hit is None:
-        return False
-    if type(hit) is tuple:
-        hit = memo[key] = "".join(out[hit[0]:hit[1]])
-    out.append(hit)
-    return True
-
-
-def _write_container(o, level: int, out: list[str], memo: dict) -> None:
-    """A non-empty container: one C-encoder call when it is flat or its
-    children are flat containers of one kind, the record path for a list
-    of objects with one key set, and item by item otherwise."""
     is_dict = isinstance(o, dict)
     inner = level + 1
     children = o.values() if is_dict else o
     kinds = set(map(type, children))
     if len(kinds) == 1 and _BRACKETS.keys() >= kinds:
-        if all(children) and _write_one_kind(o, is_dict, kinds.pop(), level, out, memo):
+        if all(children) and _write_one_kind(o, is_dict, kinds.pop(), level, out):
             return
     # exact scalar types are the common case and cheaper to test than issubclass
     elif kinds <= _SCALARS or not any(issubclass(k, _CONTAINERS) for k in kinds):
@@ -112,17 +85,16 @@ def _write_container(o, level: int, out: list[str], memo: dict) -> None:
     if is_dict:
         for i, (k, v) in enumerate(sorted(o.items())):
             out.append(f"{sep if i else ''}{_key(k)}: ")
-            _write(v, inner, out, memo)
+            _write(v, inner, out)
     else:
         for i, v in enumerate(o):
             if i:
                 out.append(sep)
-            _write(v, inner, out, memo)
+            _write(v, inner, out)
     out.append(f"\n{' ' * level}{'}' if is_dict else ']'}")
 
 
-def _write_one_kind(o, is_dict: bool, kind: type, level: int, out: list[str],
-                    memo: dict) -> bool:
+def _write_one_kind(o, is_dict: bool, kind: type, level: int, out: list[str]) -> bool:
     """Write ``o``, whose children are non-empty containers of one
     ``kind``, if a fast path fits: one C-encoder call when the children
     are flat or lists of lists, else the record path for a list of objects
@@ -138,7 +110,7 @@ def _write_one_kind(o, is_dict: bool, kind: type, level: int, out: list[str],
         # str keys only: 1, 1.0 and True are equal keys with different text
         keys = o[0].keys()
         if _STR.issuperset(map(type, keys)) and all(map(keys.__eq__, map(dict.keys, o))):
-            _write_records(o, level, out, memo)
+            _write_records(o, level, out)
             return True
     if text is not None:
         out.append(text)
@@ -198,46 +170,34 @@ def _child_edges(brackets: str, level: int, depth: int) -> tuple[str, str, str, 
             "".join(f"\n{' ' * (level + depth - i)}{b}" for i, b in enumerate(closes)))
 
 
-def _write_records(o: list, level: int, out: list[str], memo: dict) -> None:
+def _write_records(o: list, level: int, out: list[str]) -> None:
     """A list of objects with one set of str keys, not all flat: the key
-    text is built at the first record not already in the memo, once per
-    key order and level in a dump."""
+    text is built once per key order and level."""
     inner = level + 1
     sep, end = ",\n" + " " * inner, f"\n{' ' * inner}}}"
-    heads = None
+    heads = _record_heads(tuple(o[0]), inner)
     out.append("[" + sep[1:])
     for i, rec in enumerate(o):
         if i:
             out.append(sep)
-        key = (id(rec), inner)
-        if _recall(key, out, memo):
-            continue
-        if heads is None:
-            heads = _record_heads(tuple(rec), inner, memo)
-        start = len(out)
         for head, k in heads:
             v = rec[k]
             if type(v) is str:
                 out.append(head + encode_basestring_ascii(v))
             else:
                 out.append(head)
-                _write(v, inner + 1, out, memo)
+                _write(v, inner + 1, out)
         out.append(end)
-        memo[key] = (start, len(out))
     out.append(f"\n{' ' * level}]")
 
 
-def _record_heads(names: tuple[str, ...], level: int, memo: dict) -> list[tuple[str, str]]:
+@functools.cache
+def _record_heads(names: tuple[str, ...], level: int) -> tuple[tuple[str, str], ...]:
     """(text before the value, key) for each key of an object at
-    ``level``, in sorted order.  Kept in the memo under the key tuple,
-    which cannot collide with a container's (id, level) entry."""
-    heads = memo.get((names, level))
-    if heads is None:
-        pad = "\n" + " " * (level + 1)
-        heads = [(f"{',' if j else '{'}{pad}{encode_basestring_ascii(k)}: ", k)
-                 for j, k in enumerate(sorted(names))]
-        memo[names, level] = heads
-    return heads
+    ``level``, in sorted order."""
+    pad = "\n" + " " * (level + 1)
+    return tuple([(f"{',' if j else '{'}{pad}{encode_basestring_ascii(k)}: ", k)
+                  for j, k in enumerate(sorted(names))])
 
 
 def _key(k) -> str:
@@ -257,35 +217,21 @@ def reducible_to_json(r) -> dict:
 def ledger_to_json(ledger, report=None) -> dict:
     """Ledger as a JSON document: charges as "p/q", itemized transfers.
 
-    ``report`` is the ledger's audit when the caller already has it.  A
-    reducible configuration near several negative elements, and the
-    hypothesis notes that every negative element carries, are one object
-    each in the document, so ``dump_json`` writes them once.  Charges are
-    a few shared objects, so each is turned into text once.
+    ``report`` is the ledger's audit when the caller already has it.
     """
     from .discharge import audit
 
     if report is None:
         report = audit(ledger)
-    text = frac_texts([*ledger.initial.values(), *report.final.values(),
-                       *(t.amount for t in ledger.transfers)])
-    configs: dict[int, dict] = {}  # by id, as are the notes below
-    notes: dict[int, list] = {}
-    for n in report.negatives:
-        for r in n.nearby_reducible:
-            if id(r) not in configs:
-                configs[id(r)] = reducible_to_json(r)
-        if id(n.hypothesis_notes) not in notes:
-            notes[id(n.hypothesis_notes)] = list(n.hypothesis_notes)
     return {
         "ruleset": ledger.ruleset.value,
-        "initial": {k: text[id(v)] for k, v in sorted(ledger.initial.items())},
+        "initial": {k: frac_str(v) for k, v in sorted(ledger.initial.items())},
         "transfers": [
-            {"source": source, "target": target, "amount": text[id(amount)],
+            {"source": source, "target": target, "amount": frac_str(amount),
              "rule": rule, "phase": phase}
             for source, target, amount, rule, phase in ledger.transfers
         ],
-        "final": {k: text[id(v)] for k, v in sorted(report.final.items())},
+        "final": {k: frac_str(v) for k, v in sorted(report.final.items())},
         "beta": {f"f{fid}": frac_str(b) for fid, b in sorted(ledger.betas.items())},
         "flags": list(ledger.flags),
         "rule_violations": list(ledger.rule_violations),
@@ -295,9 +241,9 @@ def ledger_to_json(ledger, report=None) -> dict:
             "euler_identity_ok": report.euler_identity_ok,
             "conservation_ok": report.conservation_ok,
             "negatives": [
-                {"element": n.key, "final": text[id(n.final)],
-                 "reducible": [configs[id(r)] for r in n.nearby_reducible],
-                 "hypothesis_notes": notes[id(n.hypothesis_notes)]}
+                {"element": n.key, "final": frac_str(n.final),
+                 "reducible": [reducible_to_json(r) for r in n.nearby_reducible],
+                 "hypothesis_notes": n.hypothesis_notes}
                 for n in report.negatives
             ],
         },

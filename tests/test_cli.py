@@ -138,6 +138,37 @@ def test_solve_rejects_a_cover_json_it_would_not_read(cover, tmp_path, capsys):
         "", f"error: --cover-json is read only with --cover json, not --cover {cover}\n")
 
 
+@pytest.mark.parametrize("argv,message", [
+    (["--mode", "ba", "--defects", "x"],
+     "--defects is read only with --mode defect, not --mode ba"),
+    (["--mode", "ba", "--seed", "5", "--full"],
+     "--seed is read only with --cover random, not --cover identity"),
+    (["--mode", "ba", "--seed", "0"],
+     "--seed is read only with --cover random, not --cover identity"),
+    (["--mode", "ba", "--full"], "--full is read only with --cover random, not --cover identity"),
+    (["--mode", "ba", "--cover", "json", "--full"],
+     "--full is read only with --cover random, not --cover json"),
+], ids=["defects", "seed-full", "seed-0", "full", "full-json"])
+def test_solve_rejects_an_option_it_would_not_read(argv, message, tmp_path, capsys):
+    g_path = tmp_path / "t.pg"
+    assert cli_dispatch(["gen", "triangle", "-o", str(g_path)]) == 0
+    capsys.readouterr()
+    assert cli_dispatch(["solve", str(g_path)] + argv) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+def test_solve_random_cover_without_seed_uses_seed_0(tmp_path, capsys):
+    g_path = tmp_path / "t.pg"
+    assert cli_dispatch(["gen", "triangle", "-o", str(g_path)]) == 0
+    capsys.readouterr()
+    argv = ["solve", str(g_path), "--mode", "ba", "--cover", "random"]
+    assert cli_dispatch(argv) == 0
+    out = capsys.readouterr().out
+    assert "cover random seed 0 full False" in out
+    assert cli_dispatch(argv + ["--seed", "0"]) == 0
+    assert capsys.readouterr().out == out
+
+
 def test_solve_exhausted_exit(tmp_path):
     path = tmp_path / "d.pg"
     cli_dispatch(["gen", "dodecahedron", "-o", str(path)])

@@ -1,11 +1,11 @@
 """The input readers, the document writers, the cover builders and the
 transversal checkers cost time linear in the input size.
 
-Each one runs on a cycle:N input at N = 2,000 and at N = 16,000, the
-best of five runs with the cyclic garbage collector paused.  Eight times
-the input should take about eight times as long; a quadratic reader
-would take about 64 times as long, so a ratio below 20 tells them apart
-with room for timing noise.
+Each one runs on a cycle:N input, or a document of N records, at
+N = 2,000 and at N = 16,000, the best of five runs with the cyclic
+garbage collector paused.  Eight times the input should take about
+eight times as long; a quadratic reader would take about 64 times as
+long, so a ratio below 20 tells them apart with room for timing noise.
 """
 
 import gc
@@ -88,10 +88,21 @@ def _solve_document(n: int) -> dict:
             "cover": cover_doc(cover), "defects": [0, 2, 2]}
 
 
+def _ledger_document(n: int) -> dict:
+    """A document shaped as ``discharge --json`` writes it, with ``n``
+    negative elements that all share one configuration and one notes tuple."""
+    config = {"kind": "low-degree-vertex", "vertices": [0], "detail": "vertex 0 has degree 2 <= 2"}
+    notes = ("minimum degree 2 < 3 (vertex 0)", "6-cycle present: (0, 1, 2, 3, 4, 5)")
+    return {"ruleset": "rs46", "audit": {"negatives": [
+        {"element": f"v{v}", "final": "-2", "reducible": [config], "hypothesis_notes": notes}
+        for v in range(n)]}}
+
+
 @pytest.mark.parametrize("write,make", [
     (cover_to_json, _full_cover),
     (dump_json, _solve_document),
-], ids=["cover_to_json", "dump_json-solve"])
+    (dump_json, _ledger_document),
+], ids=["cover_to_json", "dump_json-solve", "dump_json-ledger"])
 def test_writer_time_is_linear_in_input_size(write, make):
     small, large = (_best_seconds(write, make(n)) for n in SIZES)
     assert large / small < 20, (small, large)

@@ -189,6 +189,25 @@ def test_structure_independent_transversal():
     assert s.is_linear_forest and s.color1_independent
 
 
+# -- B_A and (0,2,2) are incomparable on a single transversal -----------
+
+
+def test_ba_transversal_that_is_not_022():
+    # the colour-1 node has an H-neighbour, which budget 0 forbids
+    cover = Cover(EDGE, 3, ((1, 2, 3), (1, 2, 3)), {(0, 1): ((1, 2),)})
+    t = {0: 1, 1: 2}
+    assert verify_ba(cover, OrderedTransversal(t, ((0, 1), (1, 2)))).passed
+    assert not verify_defective(cover, t, DefectVector((0, 2, 2))).passed
+
+
+def test_022_transversal_that_is_not_ba():
+    # the three colour-2 nodes span a cycle of H, each of H-degree 2
+    cover, t = identity_cover(K3, 3), {0: 2, 1: 2, 2: 2}
+    assert verify_defective(cover, t, DefectVector((0, 2, 2))).passed
+    for order in permutations(t.items()):
+        assert not verify_ba(cover, OrderedTransversal(t, order)).passed
+
+
 # -- one reading of the cover edges -------------------------------------
 
 
