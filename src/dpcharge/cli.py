@@ -20,7 +20,7 @@ from .cover import (Cover, cover_doc, cover_from_doc, cover_from_json, identity_
 from .discharge import RuleSet, audit, run_rules
 from .hunt import hunt as run_hunt
 from .lemmas import Verdict, check_structural_lemmas, special_vertex_analysis
-from .planegraph import EmbeddingError, PlaneGraph
+from .planegraph import PlaneGraph
 from .reporting import TOOL_VERSION, dump_json, frac_str, ledger_to_json, reducible_to_json
 from .rotfile import RotationFileError, graph_hash, load_rotation_file, serialize_rotation_file
 from .solver import (DEFAULT_NODE_LIMIT, DefectVector, OrderedTransversal, SearchStatus,
@@ -46,7 +46,7 @@ def _load(path: str) -> tuple[PlaneGraph, str]:
         raise CliError(f"no such file: {path}")
     try:
         return load_rotation_file(path)
-    except (RotationFileError, EmbeddingError) as exc:
+    except RotationFileError as exc:
         raise CliError(f"{path}: {exc}") from exc
 
 

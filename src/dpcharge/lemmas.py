@@ -21,7 +21,7 @@ from enum import Enum
 from typing import Callable
 
 from .cycles import canonical_cycles, has_chord
-from .planegraph import AdjacencyKind, Face, PlaneGraph
+from .planegraph import Face, PlaneGraph
 from .structure import Profile, check_profile, classify_vertices
 
 
@@ -47,7 +47,6 @@ class LemmaItemResult:
 
 @dataclass(frozen=True)
 class LemmaReport:
-    profile: Profile
     items: tuple[LemmaItemResult, ...]
 
     @property
@@ -77,10 +76,16 @@ def _no_adjacent_3_faces(graph: PlaneGraph):
     return True, None
 
 
+def _normally_adjacent(f: Face, g: Face) -> bool:
+    # of two adjacent faces: both bounded by cycles that share exactly
+    # two vertices (so exactly one edge)
+    return f.simple and g.simple and len(f.vertex_set & g.vertex_set) == 2
+
+
 def _adjacent_implies_normal(d_small: int, d_big: int) -> Check:
     def check(graph: PlaneGraph):
         for f, g in _pairs_of_degrees(graph, d_small, d_big):
-            if graph.face_adjacency(f, g) is not AdjacencyKind.NORMALLY_ADJACENT:
+            if not _normally_adjacent(f, g):
                 return False, (f.id, g.id)
         return True, None
     return check
@@ -171,7 +176,7 @@ def check_structural_lemmas(graph: PlaneGraph, profile: Profile) -> LemmaReport:
             conclusion_holds=holds,
             witness=witness,
         ))
-    return LemmaReport(profile, tuple(results))
+    return LemmaReport(tuple(results))
 
 
 # -- the special 3-vertex configuration --------------------------------

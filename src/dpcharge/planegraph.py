@@ -15,7 +15,6 @@ at each vertex) are built from those arrays on first use.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 from functools import cached_property
 from itertools import accumulate
 from typing import Mapping, Sequence
@@ -60,13 +59,6 @@ class Face:
 
     def __repr__(self) -> str:  # compact: vertices, not darts
         return f"Face({self.id}, deg={self.degree}, [{' '.join(map(str, self.boundary_vertices))}])"
-
-
-class AdjacencyKind(Enum):
-    DISJOINT = "disjoint"
-    VERTEX_ONLY = "vertex-only"
-    ADJACENT = "adjacent"
-    NORMALLY_ADJACENT = "normally-adjacent"
 
 
 class PlaneGraph:
@@ -168,25 +160,6 @@ class PlaneGraph:
         short, other = (f1, f2) if f1.degree <= f2.degree else (f2, f1)
         fod, oid = self._face_of_dart, other.id
         return frozenset((min(u, v), max(u, v)) for u, v in short.walk if fod[(v, u)] == oid)
-
-    def face_adjacency(self, f1: Face, f2: Face) -> AdjacencyKind:
-        """Classify the relation of two distinct faces.
-
-        Adjacent means at least one shared edge; normally adjacent
-        additionally requires both boundaries to be cycles sharing
-        exactly two vertices.
-        """
-        if f1.id == f2.id:
-            raise ValueError("face_adjacency requires two distinct faces")
-        shared_v = f1.vertex_set & f2.vertex_set
-        shared_e = self.shared_edges(f1, f2)
-        if shared_e:
-            if f1.simple and f2.simple and len(shared_v) == 2:
-                return AdjacencyKind.NORMALLY_ADJACENT
-            return AdjacencyKind.ADJACENT
-        if shared_v:
-            return AdjacencyKind.VERTEX_ONLY
-        return AdjacencyKind.DISJOINT
 
     def adjacent_faces(self, f: Face) -> tuple[Face, ...]:
         """Faces sharing at least one edge with f, each listed once, by id.

@@ -396,36 +396,3 @@ def find_ba(cover: Cover, node_limit: int = DEFAULT_NODE_LIMIT) -> BAOutcome:
     report = verify_ba(cover, ot)
     assert report.passed, "solver soundness: found ordering failed verification"
     return BAOutcome(status, ot, expanded)
-
-
-@dataclass(frozen=True)
-class TransversalStructure:
-    is_linear_forest: bool
-    color1_independent: bool
-
-
-def structure_of_transversal(cover: Cover, t: Transversal) -> TransversalStructure:
-    """Necessary conditions for a B_A coloring: the induced cover
-    subgraph is a linear forest and the color-1 class is independent."""
-    _check_transversal(cover, t)
-    nbrs = induced_neighbors(cover, t)
-    edges = [(u, v) for u, ws in nbrs.items() for v in ws if u < v]
-    linear = all(len(ws) <= 2 for ws in nbrs.values())
-    if linear:
-        # acyclic iff every component has fewer edges than vertices
-        parent = {v: v for v in t}
-
-        def find(x: int) -> int:
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for a, b in edges:
-            ra, rb = find(a), find(b)
-            if ra == rb:
-                linear = False
-                break
-            parent[ra] = rb
-    color1 = not any(t[u] == 1 and t[v] == 1 for u, v in edges)
-    return TransversalStructure(linear, color1)

@@ -66,7 +66,6 @@ class HypothesisReport:
     checks; connectivity and minimum degree are reported alongside it.
     """
 
-    profile: Profile
     connected: bool
     min_degree: int
     min_degree_witness: int | None
@@ -79,8 +78,10 @@ class HypothesisReport:
         return self.four_cycle is None and self.other_cycle is None
 
     def degree_note(self, least: int) -> str | None:
-        """The note for a minimum degree below ``least``, else None."""
-        if self.min_degree >= least:
+        """The note for a minimum degree below ``least``, else None.
+
+        A graph without vertices meets every minimum degree vacuously."""
+        if self.min_degree >= least or self.min_degree_witness is None:
             return None
         return f"minimum degree {self.min_degree} < {least} (vertex {self.min_degree_witness})"
 
@@ -115,7 +116,6 @@ def check_profile(graph: PlaneGraph, profile: Profile) -> HypothesisReport:
             least[k] = find_cycle(graph, k)
     min_deg = graph.min_degree()
     return HypothesisReport(
-        profile=profile,
         connected=graph.is_connected,
         min_degree=min_deg,
         min_degree_witness=graph.degrees.index(min_deg) if graph.degrees else None,

@@ -14,11 +14,10 @@ from dpcharge.lemmas import Verdict, check_structural_lemmas, special_vertex_ana
 from dpcharge.oracle import brute_ba, brute_defective
 from dpcharge.planegraph import build_plane_graph
 from dpcharge.solver import (DefectVector, OrderedTransversal, SearchStatus,
-                             find_ba, find_defective_dp,
-                             structure_of_transversal, verify_ba)
+                             find_ba, find_defective_dp, verify_ba)
 from dpcharge.structure import Profile, check_profile, classify_vertices
 
-from test_solver import paper_cover
+from cover_fixtures import paper_cover
 
 D022 = DefectVector((0, 2, 2))
 
@@ -96,10 +95,7 @@ def test_criterion_4_ba_necessity():
             if out.status is not SearchStatus.FOUND:
                 continue
             accepted += 1
-            assert verify_ba(cover, out.ordered).passed
-            s = structure_of_transversal(cover, out.ordered.assignment)
-            assert s.is_linear_forest, (name, seed)
-            assert s.color1_independent, (name, seed)
+            assert verify_ba(cover, out.ordered).passed, (name, seed)
     assert total >= 10_000
     assert accepted > total // 2  # the property must not hold vacuously
 

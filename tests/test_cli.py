@@ -5,10 +5,11 @@ import pytest
 
 from dpcharge.catalog import generate
 from dpcharge.cli import cli_dispatch
-from dpcharge.cover import cover_doc, identity_cover
+from dpcharge.cover import cover_doc, cover_from_json, identity_cover
 from dpcharge.rotfile import graph_hash, serialize_rotation_file
+from dpcharge.solver import SearchStatus, find_ba
 
-from test_solver import paper_cover
+from cover_fixtures import paper_cover
 
 
 @pytest.fixture
@@ -55,6 +56,22 @@ def test_structure_output(figure1_file, capsys):
     assert "4-cycle-free: True" in out
     assert "special" in out
     assert "hypothesis-not-met" in out  # delta < 3 items
+
+
+@pytest.mark.parametrize("profile", ["no48", "no46"])
+def test_structure_without_vertices_meets_every_degree_hypothesis(profile, tmp_path, capsys):
+    # no vertex breaks a minimum-degree bound, so no item lacks its hypothesis
+    path, report = tmp_path / "empty.pg", tmp_path / "s.json"
+    path.write_text("planegraph empty\nn 0\n")
+    assert cli_dispatch(["structure", str(path), "--profile", profile,
+                         "--json", str(report)]) == 0
+    out = capsys.readouterr().out
+    assert "None" not in out and "hypothesis-not-met" not in out
+    text = report.read_text()
+    assert "None" not in text
+    lemmas = json.loads(text)["lemmas"]
+    assert len(lemmas) == (7 if profile == "no48" else 5)
+    assert all(r["verdict"] == "holds" and r["notes"] == [] for r in lemmas)
 
 
 def test_discharge_negative_exit(figure1_file, tmp_path, capsys):
@@ -245,6 +262,28 @@ def test_hunt_candidate_replays_on_its_own_graph_only(tmp_path, capsys):
     assert "embedded graph is not the graph supplied" in capsys.readouterr().err
 
 
+def test_hunt_reports_every_exhausted_seed(tmp_path, capsys):
+    tri, report = str(tmp_path / "k3.pg"), tmp_path / "h.json"
+    assert cli_dispatch(["gen", "triangle", "-o", tri]) == 0
+    capsys.readouterr()
+    assert cli_dispatch(["hunt", tri, "--profile", "no48", "--seeds", "0..1", "--limit", "1",
+                         "--json", str(report)]) == 3
+    assert "exhausted: 2" in capsys.readouterr().out
+    doc = json.loads(report.read_text())
+    assert doc["exhausted"] == [{"graph": "triangle", "seed": 0}, {"graph": "triangle", "seed": 1}]
+    assert doc["found"] == 0 and not doc["candidates"]
+
+
+def test_hunt_candidate_report_holds_the_saved_cover(tmp_path, capsys):
+    p3, report, out = _p3_file(tmp_path), tmp_path / "h.json", tmp_path / "out"
+    assert cli_dispatch(["hunt", p3, "--profile", "no48", "--k", "1", "--seeds", "0..0",
+                         "--json", str(report), "--save-dir", str(out)]) == 1
+    (candidate,) = json.loads(report.read_text())["candidates"]
+    assert (candidate["graph"], candidate["seed"], candidate["replay_verdict"]) == ("p3", 0, "none")
+    assert candidate["cover"] == (out / "candidate-p3-0.json").read_text()
+    assert find_ba(cover_from_json(candidate["cover"])).status is SearchStatus.NONE
+
+
 def test_hunt_save_dir_rejects_a_graph_name_that_is_no_file_name(tmp_path, capsys):
     for name in (f"a{os.sep}b", "a\0b"):
         p3, out = _p3_file(tmp_path, name), tmp_path / "out"
@@ -379,6 +418,20 @@ def test_verify_invalid_cover_is_usage_error(tmp_path, capsys, edit, violation):
     assert code == 2
     err = capsys.readouterr().err
     assert "invalid cover" in err and violation in err
+
+
+def test_verify_colour_outside_its_list_is_usage_error(tmp_path, capsys):
+    t_path = _solved_transversal(tmp_path, "k4")
+    doc = json.loads(t_path.read_text())
+    del doc["order"]
+    doc["assignment"]["0"] = 7
+    t_path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    code = cli_dispatch(["verify", str(tmp_path / "solved.pg"), "--transversal", str(t_path),
+                         "--defects", "0,2,2"])
+    captured = capsys.readouterr()
+    assert code == 2 and not captured.out
+    assert captured.err == "error: not a transversal: color 7 not in list of vertex 0\n"
 
 
 def test_verify_reports_an_invalid_cover_before_a_malformed_assignment(tmp_path, capsys):
@@ -596,13 +649,15 @@ def _lists_of_other_vertices(d):
     ("solve", lambda d: _with(d, "graph", P3_TEXT), "embedded graph is not the graph supplied"),
     ("verify", lambda d: _with(d, "graph", P3_TEXT), "embedded graph is not the graph supplied"),
     ("solve", lambda d: _with(d, "graph", None), "embedded graph must be rotation-file text"),
+    ("solve", lambda d: _with(d, "lists", {**d["lists"], "0": [1, 2, 3, 5]}),
+     "color 5 has no defect budget (k=3)"),
 ], ids=["missing-file", "not-json", "not-an-object", "no-k", "no-lists", "no-matchings",
         "lists-not-an-object", "key-not-int-int", "matching-not-a-list", "pair-of-one",
         "float-colour", "solve-reversed-key", "solve-key-and-reversed-key",
         "verify-string-colour", "verify-string-k", "verify-reversed-key",
         "solve-lists-of-other-vertices", "verify-lists-of-other-vertices",
         "solve-embedded-graph-of-another-graph", "verify-embedded-graph-of-another-graph",
-        "embedded-graph-not-text"])
+        "embedded-graph-not-text", "colour-without-budget"])
 def test_malformed_cover_is_usage_error(tmp_path, capsys, command, edit, message):
     g_path, t_path = tmp_path / "k3.pg", tmp_path / "t.json"
     assert cli_dispatch(["gen", "triangle", "-o", str(g_path)]) == 0

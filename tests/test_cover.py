@@ -12,9 +12,10 @@ from dpcharge.cover import (Cover, cover_doc, cover_from_json, cover_to_json,
 from dpcharge.planegraph import build_plane_graph
 from dpcharge.solver import induced_neighbors
 
+from cover_fixtures import P3, neighbors_by_definition
+
 EDGE = build_plane_graph({0: [1], 1: [0]})
 K3 = build_plane_graph({0: [1, 2], 1: [2, 0], 2: [0, 1]})
-P3 = build_plane_graph({0: [1], 1: [0, 2], 2: [1]})
 
 
 def test_identity_cover_single_edge():
@@ -172,20 +173,6 @@ def test_cover_from_json_rejects_a_second_spelling_of_a_key():
 
 
 # -- the node graph against the definition -----------------------------
-
-
-def neighbors_by_definition(cover, node):
-    """Cover neighbors of node read straight from cover.matchings: by base
-    neighbor, then by position in that edge's matching.  A pair repeated
-    in a matching is one cover edge."""
-    u, cu = node
-    out = []
-    for v in sorted(cover.graph.neighbors(u)):
-        for a, b in cover.matchings.get((min(u, v), max(u, v)), ()):
-            mine, theirs = (a, b) if u < v else (b, a)
-            if mine == cu and (v, theirs) not in out:
-                out.append((v, theirs))
-    return out
 
 
 def node_graph_neighbors(cover, node):

@@ -6,7 +6,7 @@ from dpcharge.hunt import hunt
 from dpcharge.solver import SearchStatus, find_ba
 from dpcharge.structure import Profile
 
-from test_solver import paper_cover
+from cover_fixtures import paper_cover
 
 
 def test_hunt_no46_cycles_all_found():

@@ -65,6 +65,12 @@ def test_missing_header():
         parse_rotation_file("n 3\nv 0: 1\n")
 
 
+def test_missing_count():
+    with pytest.raises(RotationFileError) as info:
+        parse_rotation_file("planegraph g\n")
+    assert str(info.value) == "missing 'n <count>' line"
+
+
 def test_duplicate_vertex_line():
     text = "planegraph x\nn 2\nv 0: 1\nv 0: 1\nv 1: 0\n"
     with pytest.raises(RotationFileError, match="duplicate"):
@@ -203,11 +209,12 @@ HEAD = "planegraph x\nn 3\n"
     ("v 0: 1 2\nv 0: 1 2\nv 1: 0\nv 2: 0\n", "line 4: duplicate rotation for vertex 0"),
     ("v 0: 1 2\nv 1: x\nv 2: 0\n", "line 4: bad neighbor token 'x'"),
     ("v 0: 1 2\nv 1: 0 x\nv 2: 0\nv 2: 0\nv 9: 0\n", "line 4: bad neighbor token 'x'"),
+    ("v 0: 1 2\nv 1: 0\nv 3: 0\n", "line 5: vertex id 3 out of range 0..2"),
 ], ids=["superscript", "arabic-indic", "first-bad-token", "range-before-token",
         "leading-zeros-out-of-range", "negative", "empty-rotation", "repeated-neighbor",
         "loop", "leading-zeros", "leading-zeros-in-ids", "crlf", "tabs", "comments-between",
         "out-of-order", "tab-after-v", "plus-neighbor", "plus-id", "non-ascii-id", "no-colon",
-        "duplicate-middle", "bad-token-middle", "first-bad-line-of-several"])
+        "duplicate-middle", "bad-token-middle", "first-bad-line-of-several", "id-out-of-range"])
 def test_malformed_rotation_lines(body, message):
     if message is None:
         g, _ = parse_rotation_file(HEAD + body)

@@ -9,23 +9,13 @@ from dpcharge.catalog import generate
 from dpcharge.oracle import brute_ba, brute_defective
 from dpcharge.planegraph import build_plane_graph
 from dpcharge.solver import (BAReport, BAViolation, DefectVector, OrderedTransversal, SearchStatus,
-                             find_ba, find_defective_dp,
-                             structure_of_transversal, verify_ba,
-                             verify_defective)
+                             find_ba, find_defective_dp, verify_ba, verify_defective)
 
-from test_cover import neighbors_by_definition
+from cover_fixtures import P3, neighbors_by_definition, paper_cover
 
 EDGE = build_plane_graph({0: [1], 1: [0]})
-P3 = build_plane_graph({0: [1], 1: [0, 2], 2: [1]})
 K3 = build_plane_graph({0: [1, 2], 1: [2, 0], 2: [0, 1]})
 STAR3 = build_plane_graph({0: [1, 2, 3], 1: [0], 2: [0], 3: [0]})
-
-
-def paper_cover() -> Cover:
-    """The rejected 3-node pattern: (y,2) matched to (x,1) and (z,1),
-    with nothing else to choose."""
-    return Cover(P3, 1, ((1,), (2,), (1,)),
-                 {(0, 1): ((1, 2),), (1, 2): ((2, 1),)})
 
 
 def test_verify_defective_k3_proper():
@@ -173,20 +163,19 @@ def test_find_ba_order_matters_completeness():
     assert out.ordered.order[0] == (2, 1)  # the color-1 node must go first
 
 
-def test_structure_of_paper_example():
-    s = structure_of_transversal(paper_cover(), {0: 1, 1: 2, 2: 1})
-    assert s.is_linear_forest and s.color1_independent  # necessary yet not sufficient
-
-
-def test_structure_k3_monochromatic():
-    s = structure_of_transversal(identity_cover(K3, 3), {0: 1, 1: 1, 2: 1})
-    assert not s.color1_independent
-    assert not s.is_linear_forest  # monochromatic triangle
-
-
-def test_structure_independent_transversal():
-    s = structure_of_transversal(identity_cover(K3, 3), {0: 1, 1: 2, 2: 3})
-    assert s.is_linear_forest and s.color1_independent
+@pytest.mark.parametrize("cover,t,orderable", [
+    # H is a path with two colour-1 nodes: a linear forest with independent
+    # colour-1 nodes, and still no order
+    (paper_cover(), {0: 1, 1: 2, 2: 1}, False),
+    # H is a triangle of colour-1 nodes
+    (identity_cover(K3, 3), {0: 1, 1: 1, 2: 1}, False),
+    # H has no edge
+    (identity_cover(K3, 3), {0: 1, 1: 2, 2: 3}, True),
+], ids=["paper-example", "k3-monochromatic", "k3-rainbow"])
+def test_ba_verdict_of_a_transversal(cover, t, orderable):
+    passed = [verify_ba(cover, OrderedTransversal(t, order)).passed
+              for order in permutations(t.items())]
+    assert any(passed) is orderable
 
 
 # -- B_A and (0,2,2) are incomparable on a single transversal -----------
@@ -228,8 +217,6 @@ def test_entries_that_are_not_cover_edges_count_nowhere():
     assert brute_defective(cover, d).status is SearchStatus.FOUND
     # the cover edge joins two color-1 nodes, so no order exists
     assert find_ba(cover).status is brute_ba(cover).status is SearchStatus.NONE
-    s = structure_of_transversal(cover, out.transversal)
-    assert s.is_linear_forest and not s.color1_independent
 
 
 def test_a_repeated_pair_is_one_cover_edge():
@@ -270,7 +257,6 @@ def test_checkers_and_oracles_do_not_read_the_node_graph(monkeypatch):
         assert brute_defective(cover, d).status is dp.status
         if ba.ordered:
             assert verify_ba(cover, ba.ordered).passed
-            assert structure_of_transversal(cover, ba.ordered.assignment).is_linear_forest
         if dp.transversal:
             assert verify_defective(cover, dp.transversal, d).passed
     assert brute_ba(paper_cover()).status is SearchStatus.NONE
