@@ -35,6 +35,9 @@ EXIT_EXHAUSTED = 3
 # k sizes every list and matching of a cover; plane graphs are
 # DP-5-colorable, so nothing of interest lies past MAX_K
 MAX_K = 64
+# a hunt lists its seeds, in memory and in its report, so a longer range
+# is refused before any seed is listed
+MAX_SEEDS = 1_000_000
 
 
 class CliError(Exception):
@@ -103,7 +106,8 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="catalog names or rotation files (default: whole catalog)")
     p.add_argument("--profile", choices=[x.value for x in Profile], required=True)
     p.add_argument("--k", type=int, default=3)
-    p.add_argument("--seeds", default="0..9", help="seed range A..B, inclusive")
+    p.add_argument("--seeds", default="0..9",
+                   help=f"seed range A..B, inclusive, of at most {MAX_SEEDS:,} seeds")
     p.add_argument("--limit", type=int, default=DEFAULT_NODE_LIMIT)
     p.add_argument("--json", dest="json_out", metavar="OUT")
     p.add_argument("--save-dir", metavar="DIR", help="persist candidate covers here")
@@ -395,6 +399,8 @@ def _cmd_hunt(args) -> int:
         raise CliError(f"bad seed range {args.seeds!r}, expected A..B")
     if not seeds:
         raise CliError(f"empty seed range {args.seeds!r}: A must not exceed B")
+    if seeds.stop - seeds.start > MAX_SEEDS:
+        raise CliError(f"seed range {args.seeds!r} holds more than {MAX_SEEDS:,} seeds")
     profile = Profile(args.profile)
     command = (f"hunt --profile {args.profile} --k {args.k} "
                f"--seeds {args.seeds} {' '.join(names)}")

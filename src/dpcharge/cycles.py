@@ -1,31 +1,88 @@
-"""Fixed-length cycle search: exhaustive enumeration or the first witness.
+"""Fixed-length cycle search: exhaustive enumeration or the least witness.
 
 Cycles are reported in canonical rotation: the walk starts at the
 lexicographically least vertex and runs toward the smaller of that
 vertex's two cycle neighbors, so each cycle appears exactly once with
 no rotation or reflection duplicates.
+
+A k-cycle whose least vertex is s is two paths from s, over vertices
+above s, of k//2 and k - k//2 edges that share only their far end.  A
+test grows those half-length paths from many starts at once and meets
+them at their ends; it passes exactly at the starts that lead some
+k-cycle.  The lexicographic walk runs only from those starts, and every
+cycle, its order and so every witness stay what a walk from every start
+gives.
 """
 
 from __future__ import annotations
 
-from typing import Iterator
+from collections import Counter
+from itertools import combinations, compress
+from operator import itemgetter
+from typing import Iterable, Iterator
 
 from .planegraph import PlaneGraph
 
 MAX_CYCLE_LENGTH = 12
 
+_start_end = itemgetter(0, -1)
 
-def canonical_cycles(graph: PlaneGraph, k: int) -> Iterator[tuple[int, ...]]:
-    """The simple k-cycles in canonical form, lazily, in lexicographic order.
 
-    A depth-first search from each start vertex over ascending neighbors
-    visits paths in lexicographic order, so the first cycle it yields is
-    the least one.
-    """
+def _check_length(k: int) -> None:
     if k < 3:
         raise ValueError(f"cycle length must be at least 3, got {k}")
     if k > MAX_CYCLE_LENGTH:
         raise ValueError(f"cycle length capped at {MAX_CYCLE_LENGTH}, got {k}")
+
+
+def _blocks(graph: PlaneGraph) -> Iterator[list[int]]:
+    """The vertices with two neighbors above them (no other vertex is the
+    least vertex of a cycle), ascending, in blocks of doubling size: a
+    search that stops at its first cycle stops within twice the starts
+    it needs, and an exhaustive one takes few blocks."""
+    above = Counter(map(itemgetter(0), graph.edges))  # edges are (u, v) with u < v
+    starts = sorted(v for v, count in above.items() if count > 1)
+    i, size = 0, 1
+    while i < len(starts):
+        yield starts[i:i + size]
+        i, size = i + size, 2 * size
+
+
+def _leaders(rot: tuple[tuple[int, ...], ...], levels: list[list[tuple[int, ...]]],
+             k: int) -> set[int]:
+    """The starts that are the least vertex of some k-cycle.
+
+    levels[i] holds the simple paths of i edges from each start over
+    vertices above that start; they grow here as far as k needs, and a
+    longer k reuses the levels a shorter one grew.  Two paths from one
+    start close a k-cycle when they have k//2 and k - k//2 edges and
+    share only their far end.
+    """
+    short, long = k // 2, k - k // 2
+    while len(levels) <= long:
+        levels.append([p + (w,) for p in levels[-1] for w in rot[p[-1]]
+                       if w > p[0] and w not in p])
+    near, far = levels[short], levels[long]
+    if short == long:  # only an end that a second path reaches needs a look
+        first: dict[tuple[int, int], tuple[int, ...]] = {}
+        again = [q for q in far if first.setdefault(_start_end(q), q) is not q]
+        meets: dict[tuple[int, int], list[tuple[int, ...]]] = {}
+        for q in again:
+            meets.setdefault(_start_end(q), [first[_start_end(q)]]).append(q)
+        pairs = (pair for paths in meets.values() for pair in combinations(paths, 2))
+    else:  # only an end that paths of both lengths reach needs a look
+        ends = set(map(_start_end, near)).intersection(map(_start_end, far))
+        by_end: dict[tuple[int, int], list[tuple[int, ...]]] = {}
+        for p in compress(near, map(ends.__contains__, map(_start_end, near))):
+            by_end.setdefault(_start_end(p), []).append(p)
+        pairs = ((p, q) for q in compress(far, map(ends.__contains__, map(_start_end, far)))
+                 for p in by_end[_start_end(q)])
+    return {p[0] for p, q in pairs if set(p[1:-1]).isdisjoint(q[1:-1])}
+
+
+def _walk(graph: PlaneGraph, k: int):
+    """The lexicographic walk from one start: ``from_start(s)`` yields the
+    canonical k-cycles whose least vertex is s, in lexicographic order."""
     adj = graph.adjacency
     nbrs = [sorted(a) for a in adj]
     path = [0] * k
@@ -48,11 +105,28 @@ def canonical_cycles(graph: PlaneGraph, k: int) -> Iterator[tuple[int, ...]]:
                 yield from extend(start, depth + 1)
                 on_path[w] = False
 
-    for s in range(graph.vertex_count):
+    def from_start(s: int) -> Iterator[tuple[int, ...]]:
         path[0] = s
         on_path[s] = True
         yield from extend(s, 1)
         on_path[s] = False
+
+    return from_start
+
+
+def canonical_cycles(graph: PlaneGraph, k: int) -> Iterator[tuple[int, ...]]:
+    """The simple k-cycles in canonical form, lazily, in lexicographic order.
+
+    A depth-first search from each start vertex that leads a k-cycle,
+    over ascending neighbors, visits paths in lexicographic order, so
+    the first cycle it yields is the least one.
+    """
+    _check_length(k)
+    walk = None
+    for block in _blocks(graph):
+        for s in sorted(_leaders(graph.rotations, [[(s,) for s in block]], k)):
+            walk = walk or _walk(graph, k)
+            yield from walk(s)
 
 
 def cycles_of_length(graph: PlaneGraph, k: int) -> tuple[tuple[int, ...], ...]:
@@ -63,9 +137,29 @@ def cycles_of_length(graph: PlaneGraph, k: int) -> tuple[tuple[int, ...], ...]:
     return tuple(canonical_cycles(graph, k))
 
 
-def find_cycle(graph: PlaneGraph, k: int) -> tuple[int, ...] | None:
-    """The least canonical k-cycle, or None; stops at the first one found."""
-    return next(canonical_cycles(graph, k), None)
+def least_cycles(graph: PlaneGraph, lengths: Iterable[int]) -> dict[int, tuple[int, ...] | None]:
+    """The least canonical cycle of each length, or None, in one pass.
+
+    Each block of starts is tried against every length still open,
+    shortest first, so a longer length's half-paths extend the shorter
+    one's.  A length's witness is the first cycle of the walk from the
+    least start that leads it; the pass stops once every length has one.
+    """
+    least: dict[int, tuple[int, ...] | None] = {}
+    for k in lengths:
+        _check_length(k)
+        least[k] = None
+    open_lengths = sorted(least)
+    for block in _blocks(graph):
+        if not open_lengths:
+            break
+        levels = [[(s,) for s in block]]
+        for k in list(open_lengths):
+            leaders = _leaders(graph.rotations, levels, k)
+            if leaders:
+                least[k] = next(_walk(graph, k)(min(leaders)))
+                open_lengths.remove(k)
+    return least
 
 
 def has_chord(graph: PlaneGraph, cycle: tuple[int, ...]) -> bool:

@@ -89,7 +89,8 @@ def hunt(profile: Profile, k: int, seeds: range | list[int],
         else:
             admissible.append((name, g))
 
-    jobs = [(name, g, seed) for name, g in admissible for seed in seeds]
+    # drawn as they run: a list would hold one tuple per graph and seed at once
+    jobs = ((name, g, seed) for name, g in admissible for seed in seed_list)
 
     def run(job):
         name, g, seed = job

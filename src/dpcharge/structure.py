@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from .cycles import find_cycle
+from .cycles import least_cycles
 from .planegraph import PlaneGraph
 
 
@@ -107,13 +107,14 @@ def check_profile(graph: PlaneGraph, profile: Profile) -> HypothesisReport:
 
     Each witness is the least canonical cycle of its length.  The
     witnesses are kept on the graph by length, so each length is
-    searched once per graph, whichever profiles ask for it.
+    searched once per graph, whichever profiles ask for it; the lengths
+    not yet known are searched together, in one pass over the starts.
     """
     least = graph._least_cycles
     four, other_length = profile.forbidden_lengths
-    for k in (four, other_length):
-        if k not in least:
-            least[k] = find_cycle(graph, k)
+    missing = [k for k in (four, other_length) if k not in least]
+    if missing:
+        least.update(least_cycles(graph, missing))
     min_deg = graph.min_degree()
     return HypothesisReport(
         connected=graph.is_connected,

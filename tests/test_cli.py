@@ -323,6 +323,17 @@ def test_hunt_empty_seed_range_is_usage_error(seeds, capsys):
     assert "empty seed range" in capsys.readouterr().err
 
 
+def test_hunt_seed_range_past_its_cap_is_usage_error(capsys):
+    # listing these seeds raised a MemoryError at once, which escaped
+    # with exit 1, the code of a hunt candidate
+    assert cli_dispatch(["hunt", "cycle:5", "--profile", "no48",
+                         "--seeds", "0..999999999999"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == ("error: seed range '0..999999999999' holds more than "
+                            "1,000,000 seeds\n")
+    assert captured.out == ""
+
+
 @pytest.mark.parametrize("limit", ["0", "-5"])
 @pytest.mark.parametrize("command", ["solve", "hunt"])
 def test_limit_below_one_is_usage_error(command, limit, tmp_path, capsys):

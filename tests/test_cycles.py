@@ -3,7 +3,7 @@ from itertools import combinations, permutations
 import pytest
 
 from dpcharge.catalog import generate
-from dpcharge.cycles import cycles_of_length, find_cycle, has_chord
+from dpcharge.cycles import cycles_of_length, has_chord, least_cycles
 from dpcharge.planegraph import PlaneGraph
 
 
@@ -83,7 +83,7 @@ def test_cycles_are_canonical_and_simple(catalog):
 
 def test_length_bounds():
     g = generate("triangle")
-    for search in (cycles_of_length, find_cycle):
+    for search in (cycles_of_length, lambda g, k: least_cycles(g, [4, k])):
         with pytest.raises(ValueError):
             search(g, 2)
         with pytest.raises(ValueError):

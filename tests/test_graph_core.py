@@ -1,7 +1,7 @@
 """The graph-analysis core against the direct definitions it replaces.
 
 Face adjacency comes from dart reversal, the hypothesis witnesses from
-an early-exit cycle search, and the audit looks reducible configurations
+a one-pass least-cycle search, and the audit looks reducible configurations
 up by vertex; each is checked here against a plain rescan.  Each
 forbidden-cycle length is searched once per graph, and the vertex
 classification is computed once per graph.
@@ -12,7 +12,7 @@ import pytest
 from charge_fixtures import fraction_replay
 from dpcharge.catalog import DEFAULT_CATALOG, generate
 from dpcharge import structure
-from dpcharge.cycles import cycles_of_length, find_cycle
+from dpcharge.cycles import cycles_of_length, least_cycles
 from dpcharge.discharge import RuleSet, audit, run_rules
 from dpcharge.structure import Profile, check_profile, classify_vertices, find_reducible
 
@@ -31,7 +31,7 @@ def graph(request):
 def test_find_cycle_is_first_enumerated(graph, k):
     listed = cycles_of_length(graph, k)
     assert list(listed) == sorted(listed)
-    assert find_cycle(graph, k) == (listed[0] if listed else None)
+    assert least_cycles(graph, [k]) == {k: listed[0] if listed else None}
 
 
 def _edges(face):
@@ -48,7 +48,7 @@ def test_adjacent_faces_match_shared_edges(graph):
 def test_check_profile_computed_once(graph, profile, monkeypatch):
     first = check_profile(graph, profile)
     searched = []
-    monkeypatch.setattr(structure, "find_cycle", lambda g, k: searched.append(k))
+    monkeypatch.setattr(structure, "least_cycles", lambda g, ks: searched.extend(ks))
     assert check_profile(graph, profile) == first
     assert not searched
     four = cycles_of_length(graph, 4)
@@ -60,18 +60,18 @@ def test_check_profile_computed_once(graph, profile, monkeypatch):
 def test_each_cycle_length_searched_once_per_graph(monkeypatch):
     searched = []
 
-    def counted(g, k):
-        searched.append(k)
-        return find_cycle(g, k)
+    def counted(g, ks):
+        searched.append(list(ks))
+        return least_cycles(g, ks)
 
-    monkeypatch.setattr(structure, "find_cycle", counted)
+    monkeypatch.setattr(structure, "least_cycles", counted)
     for name in GRAPHS:
         g = generate(name)
         searched.clear()
         no48 = check_profile(g, Profile.NO48)
         no46 = check_profile(g, Profile.NO46)
-        assert searched == [4, 8, 6], name
-        assert no48.four_cycle == no46.four_cycle == find_cycle(g, 4), name
+        assert searched == [[4, 8], [6]], name
+        assert no48.four_cycle == no46.four_cycle == least_cycles(g, [4])[4], name
 
 
 def test_classify_vertices_computed_once(graph):

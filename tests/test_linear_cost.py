@@ -1,9 +1,10 @@
-"""The input readers, the document writers, the cover builders and the
-transversal checkers cost time linear in the input size.
+"""The input readers, the document writers, the cover builders, the
+transversal checkers and the profile check cost time linear in the
+input size.
 
-Each one runs on a cycle:N input, or a document of N records, at
-N = 2,000 and at N = 16,000, the best of five runs with the cyclic
-garbage collector paused.  Eight times the input should take about
+Each one runs on a cycle:N input (the profile check on theta:N,N,N as
+well), or a document of N records, at N = 2,000 and at N = 16,000, the
+best of five runs with the cyclic garbage collector paused.  Eight times the input should take about
 eight times as long; a quadratic reader would take about 64 times as
 long, so a ratio below 20 tells them apart with room for timing noise.
 """
@@ -20,6 +21,7 @@ from dpcharge.cover import (cover_doc, cover_from_json, cover_to_json, identity_
 from dpcharge.reporting import dump_json
 from dpcharge.rotfile import RotationFileError, parse_rotation_file, serialize_rotation_file
 from dpcharge.solver import DefectVector, OrderedTransversal, verify_ba, verify_defective
+from dpcharge.structure import Profile, check_profile
 
 SIZES = (2_000, 16_000)
 
@@ -146,4 +148,23 @@ def _cycle(n: int):
 ], ids=["random_cover-full", "random_cover-partial", "node_graph"])
 def test_cover_build_time_is_linear_in_input_size(build, make):
     small, large = (_best_seconds(build, make(n)) for n in SIZES)
+    assert large / small < 20, (small, large)
+
+
+def _fresh_graphs(name: str) -> list:
+    """One graph for each of the five runs of ``_best_seconds``: a graph
+    keeps its witnesses, so a second check on it would search nothing."""
+    return [generate(name) for _ in range(5)]
+
+
+def _check_both_profiles(graphs: list) -> None:
+    graph = graphs.pop()
+    for profile in Profile:
+        check_profile(graph, profile)
+
+
+@pytest.mark.parametrize("family", ["cycle:{n}", "theta:{n},{n},{n}"], ids=["cycle", "theta"])
+def test_profile_check_time_is_linear_in_input_size(family):
+    small, large = (_best_seconds(_check_both_profiles, _fresh_graphs(family.format(n=n)))
+                    for n in SIZES)
     assert large / small < 20, (small, large)
