@@ -10,6 +10,8 @@ The catalog names understood by :func:`generate`:
   figure1        the special-3-vertex configuration: 8 vertices, 11 edges,
                  faces of degrees {3,3,5,5,6}
 
+cycle:N and theta:a,b,c have at most MAX_CATALOG_VERTICES vertices.
+
 The hypotheses of the two main profiles are delicate (specific forbidden
 cycle lengths), so the default catalog is curated rather than sampled.
 """
@@ -120,6 +122,17 @@ class PlanePatch:
 
 # -- named graphs ------------------------------------------------------
 
+# cycle:N and theta:a,b,c name their own size, and building a graph
+# peaks at about 1 KB per vertex (107 MB at 100,000), so a larger one is
+# refused before anything is allocated
+MAX_CATALOG_VERTICES = 100_000
+
+
+def _check_size(name: str, vertices: int) -> None:
+    if vertices > MAX_CATALOG_VERTICES:
+        raise ValueError(f"catalog graph {name!r} would have {vertices:,} vertices, "
+                         f"more than {MAX_CATALOG_VERTICES:,}")
+
 
 def _cycle(n: int) -> PlaneGraph:
     return PlanePatch.from_cycle(n).build()
@@ -219,6 +232,7 @@ def generate(name: str) -> PlaneGraph:
             raise ValueError(f"bad cycle parameter in {name!r}")
         if n < 3:
             raise ValueError(f"cycle:N needs N >= 3, got {n}")
+        _check_size(name, n)
         return _cycle(n)
     if key.startswith("theta:"):
         parts = key.split(":", 1)[1].split(",")
@@ -228,5 +242,6 @@ def generate(name: str) -> PlaneGraph:
             a, b, c = (int(p) for p in parts)
         except ValueError:
             raise ValueError(f"bad theta parameters in {name!r}")
+        _check_size(name, 2 + a + b + c)
         return _theta(a, b, c)
     raise ValueError(f"unknown catalog graph {name!r}")

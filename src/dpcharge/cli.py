@@ -14,7 +14,7 @@ import os
 import sys
 from itertools import chain
 
-from .catalog import DEFAULT_CATALOG, generate
+from .catalog import DEFAULT_CATALOG, MAX_CATALOG_VERTICES, generate
 from .cover import (Cover, cover_doc, cover_from_doc, cover_from_json, identity_cover,
                     random_cover)
 from .discharge import RuleSet, audit, run_rules
@@ -61,7 +61,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = top.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen", help="write a catalog graph as a rotation file")
-    p.add_argument("name", help=f"one of: {', '.join(DEFAULT_CATALOG)}, cycle:N, theta:a,b,c")
+    p.add_argument("name", help=f"one of: {', '.join(DEFAULT_CATALOG)}, cycle:N, theta:a,b,c "
+                   f"(at most {MAX_CATALOG_VERTICES:,} vertices)")
     p.add_argument("-o", "--output", required=True)
 
     p = sub.add_parser("faces", help="print the faces of an embedded graph")
@@ -103,7 +104,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("hunt", help="seeded hunt for covers with no B_A coloring")
     p.add_argument("graphs", nargs="*",
-                   help="catalog names or rotation files (default: whole catalog)")
+                   help="catalog names or rotation files (default: whole catalog); "
+                   f"a catalog graph has at most {MAX_CATALOG_VERTICES:,} vertices")
     p.add_argument("--profile", choices=[x.value for x in Profile], required=True)
     p.add_argument("--k", type=int, default=3)
     p.add_argument("--seeds", default="0..9",

@@ -1,17 +1,17 @@
 """Fixed-length cycle search: exhaustive enumeration or the least witness.
 
-Cycles are reported in canonical rotation: the walk starts at the
-lexicographically least vertex and runs toward the smaller of that
-vertex's two cycle neighbors, so each cycle appears exactly once with
-no rotation or reflection duplicates.
+Cycles are reported in canonical rotation: the tuple starts at the
+least vertex and runs toward the smaller of that vertex's two cycle
+neighbors, so each cycle appears exactly once with no rotation or
+reflection duplicates.
 
 A k-cycle whose least vertex is s is two paths from s, over vertices
-above s, of k//2 and k - k//2 edges that share only their far end.  A
-test grows those half-length paths from many starts at once and meets
-them at their ends; it passes exactly at the starts that lead some
-k-cycle.  The lexicographic walk runs only from those starts, and every
-cycle, its order and so every witness stay what a walk from every start
-gives.
+above s, of k//2 and k - k//2 edges that share only their far end.  The
+search grows those half-length paths from many starts at once, meets
+them at their ends and reads each cycle off the pair that closes it.
+Sorted, the cycles come in the lexicographic order of a depth-first walk
+over ascending neighbors from every start, so the least one is the
+walk's first.
 """
 
 from __future__ import annotations
@@ -48,15 +48,16 @@ def _blocks(graph: PlaneGraph) -> Iterator[list[int]]:
         i, size = i + size, 2 * size
 
 
-def _leaders(rot: tuple[tuple[int, ...], ...], levels: list[list[tuple[int, ...]]],
-             k: int) -> set[int]:
-    """The starts that are the least vertex of some k-cycle.
+def _cycles(rot: tuple[tuple[int, ...], ...], levels: list[list[tuple[int, ...]]],
+            k: int) -> set[tuple[int, ...]]:
+    """The canonical k-cycles whose least vertex is a start of levels[0].
 
     levels[i] holds the simple paths of i edges from each start over
     vertices above that start; they grow here as far as k needs, and a
-    longer k reuses the levels a shorter one grew.  Two paths from one
-    start close a k-cycle when they have k//2 and k - k//2 edges and
-    share only their far end.
+    longer k reuses the levels a shorter one grew.  Two paths p and q
+    from one start, of k//2 and k - k//2 edges, that share only their
+    far end close the cycle ``p + q[-2:0:-1]`` when ``p[1] < q[1]``; for
+    an odd k each cycle is met twice, once from each of its far ends.
     """
     short, long = k // 2, k - k // 2
     while len(levels) <= long:
@@ -77,56 +78,19 @@ def _leaders(rot: tuple[tuple[int, ...], ...], levels: list[list[tuple[int, ...]
             by_end.setdefault(_start_end(p), []).append(p)
         pairs = ((p, q) for q in compress(far, map(ends.__contains__, map(_start_end, far)))
                  for p in by_end[_start_end(q)])
-    return {p[0] for p, q in pairs if set(p[1:-1]).isdisjoint(q[1:-1])}
-
-
-def _walk(graph: PlaneGraph, k: int):
-    """The lexicographic walk from one start: ``from_start(s)`` yields the
-    canonical k-cycles whose least vertex is s, in lexicographic order."""
-    adj = graph.adjacency
-    nbrs = [sorted(a) for a in adj]
-    path = [0] * k
-    on_path = [False] * graph.vertex_count
-
-    def extend(start: int, depth: int) -> Iterator[tuple[int, ...]]:
-        last = path[depth - 1]
-        if depth == k - 1:
-            # the last vertex closes the cycle; path[1] < path[-1] kills the
-            # reflected copy (and implies the vertex is above start)
-            for w in nbrs[last]:
-                if w > path[1] and not on_path[w] and start in adj[w]:
-                    path[depth] = w
-                    yield tuple(path)
-            return
-        for w in nbrs[last]:
-            if w > start and not on_path[w]:
-                path[depth] = w
-                on_path[w] = True
-                yield from extend(start, depth + 1)
-                on_path[w] = False
-
-    def from_start(s: int) -> Iterator[tuple[int, ...]]:
-        path[0] = s
-        on_path[s] = True
-        yield from extend(s, 1)
-        on_path[s] = False
-
-    return from_start
+    return {p + q[-2:0:-1] if p[1] < q[1] else q + p[-2:0:-1]
+            for p, q in pairs if set(p[1:-1]).isdisjoint(q[1:-1])}
 
 
 def canonical_cycles(graph: PlaneGraph, k: int) -> Iterator[tuple[int, ...]]:
     """The simple k-cycles in canonical form, lazily, in lexicographic order.
 
-    A depth-first search from each start vertex that leads a k-cycle,
-    over ascending neighbors, visits paths in lexicographic order, so
-    the first cycle it yields is the least one.
+    Blocks of starts ascend and each cycle belongs to the block of its
+    least vertex, so each block's cycles, sorted, follow the last's.
     """
     _check_length(k)
-    walk = None
     for block in _blocks(graph):
-        for s in sorted(_leaders(graph.rotations, [[(s,) for s in block]], k)):
-            walk = walk or _walk(graph, k)
-            yield from walk(s)
+        yield from sorted(_cycles(graph.rotations, [[(s,) for s in block]], k))
 
 
 def cycles_of_length(graph: PlaneGraph, k: int) -> tuple[tuple[int, ...], ...]:
@@ -142,8 +106,8 @@ def least_cycles(graph: PlaneGraph, lengths: Iterable[int]) -> dict[int, tuple[i
 
     Each block of starts is tried against every length still open,
     shortest first, so a longer length's half-paths extend the shorter
-    one's.  A length's witness is the first cycle of the walk from the
-    least start that leads it; the pass stops once every length has one.
+    one's.  A length's witness is the least cycle of the first block
+    that has one; the pass stops once every length has one.
     """
     least: dict[int, tuple[int, ...] | None] = {}
     for k in lengths:
@@ -155,9 +119,9 @@ def least_cycles(graph: PlaneGraph, lengths: Iterable[int]) -> dict[int, tuple[i
             break
         levels = [[(s,) for s in block]]
         for k in list(open_lengths):
-            leaders = _leaders(graph.rotations, levels, k)
-            if leaders:
-                least[k] = next(_walk(graph, k)(min(leaders)))
+            cycles = _cycles(graph.rotations, levels, k)
+            if cycles:
+                least[k] = min(cycles)
                 open_lengths.remove(k)
     return least
 

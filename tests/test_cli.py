@@ -3,6 +3,7 @@ import os
 
 import pytest
 
+from dpcharge import catalog
 from dpcharge.catalog import generate
 from dpcharge.cli import cli_dispatch
 from dpcharge.cover import cover_doc, cover_from_json, identity_cover
@@ -24,6 +25,35 @@ def test_gen_and_faces(figure1_file, capsys):
     out = capsys.readouterr().out
     assert out.count("face ") == 5
     assert "F=5" in out
+
+
+@pytest.mark.parametrize("argv, name, vertices", [
+    (["gen", "cycle:1000000000000", "-o", "x.pg"], "cycle:1000000000000", "1,000,000,000,000"),
+    (["hunt", "cycle:1000000000000", "--profile", "no48"], "cycle:1000000000000",
+     "1,000,000,000,000"),
+    (["gen", "theta:1000000000000,1,1", "-o", "x.pg"], "theta:1000000000000,1,1",
+     "1,000,000,000,004"),
+], ids=["gen-cycle", "hunt-cycle", "gen-theta"])
+def test_catalog_graph_past_its_cap_is_usage_error(tmp_path, monkeypatch, capsys,
+                                                   argv, name, vertices):
+    # these allocated until memory ran out, and the MemoryError escaped
+    # with exit 1, the code of a violation
+    monkeypatch.chdir(tmp_path)
+    assert cli_dispatch(argv) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == (
+        "", f"error: catalog graph {name!r} would have {vertices} vertices, "
+            "more than 100,000\n")
+    assert not (tmp_path / "x.pg").exists()
+
+
+def test_catalog_cap_counts_every_vertex(tmp_path, monkeypatch):
+    monkeypatch.setattr(catalog, "MAX_CATALOG_VERTICES", 10)
+    out = str(tmp_path / "x.pg")
+    # a theta graph has its two hubs besides the inner vertices of its paths
+    for name, code in (("cycle:10", 0), ("cycle:11", 2), ("theta:3,3,2", 0),
+                       ("theta:3,3,3", 2), ("theta:0,4,4", 0), ("theta:0,4,5", 2)):
+        assert cli_dispatch(["gen", name, "-o", out]) == code, name
 
 
 def test_gen_unknown_name(tmp_path):

@@ -1,7 +1,8 @@
 """The half-path cycle search against the plain lexicographic walk.
 
-``reference_cycles`` is the walk from every start vertex that the
-search runs only from the starts its half-path test passes.  Every
+``reference_cycles`` is a depth-first walk over ascending neighbors
+from every start vertex, kept here as the reference; the search itself
+reads its cycles off pairs of half-length paths and sorts them.  Every
 enumeration, every least cycle and every hypothesis witness must be the
 one the plain walk gives, for k = 3..12: on the catalog, theta graphs,
 cycles one shorter than, as long as and one longer than k, near misses

@@ -2,9 +2,10 @@ from itertools import combinations, permutations
 
 import pytest
 
+from dpcharge import cycles
 from dpcharge.catalog import generate
-from dpcharge.cycles import cycles_of_length, has_chord, least_cycles
-from dpcharge.planegraph import PlaneGraph
+from dpcharge.cycles import canonical_cycles, cycles_of_length, has_chord, least_cycles
+from dpcharge.planegraph import PlaneGraph, build_plane_graph
 
 
 def subset_cycles(graph: PlaneGraph, k: int) -> set[tuple[int, ...]]:
@@ -95,3 +96,58 @@ def test_has_chord():
     assert has_chord(g, (0, 1, 2, 3))  # any 4-cycle of K4 has both chords
     c7 = generate("cycle:7")
     assert not has_chord(c7, (0, 1, 2, 3, 4, 5, 6))
+
+
+# -- the search stops at the first block of starts that closes a cycle --
+
+
+@pytest.fixture
+def searched(monkeypatch):
+    """Each block search, as (length, the block's starts)."""
+    calls = []
+    search = cycles._cycles
+
+    def recorded(rot, levels, k):
+        calls.append((k, tuple(p[0] for p in levels[0])))
+        return search(rot, levels, k)
+
+    monkeypatch.setattr(cycles, "_cycles", recorded)
+    return calls
+
+
+def doubling_blocks(graph: PlaneGraph) -> list[tuple[int, ...]]:
+    """The vertices with two neighbors above them, ascending, in blocks
+    of 1, 2, 4, ... vertices."""
+    starts = [v for v in graph.vertices()
+              if sum(w > v for w in graph.neighbors(v)) >= 2]
+    blocks, size = [], 1
+    while starts:
+        blocks.append(tuple(starts[:size]))
+        starts, size = starts[size:], 2 * size
+    return blocks
+
+
+def test_first_cycle_searches_the_first_block_only(searched):
+    g = generate("k4")
+    assert doubling_blocks(g) == [(0,), (1,)]
+    assert next(canonical_cycles(g, 3)) == (0, 1, 2)
+    assert searched == [(3, (0,))]
+
+
+def test_each_length_stops_at_its_first_block(searched):
+    g = generate("dodecahedron")  # girth 5: vertex 0 lies on the outer pentagon
+    blocks = doubling_blocks(g)
+    assert [len(b) for b in blocks] == [1, 2, 4, 3]
+    assert least_cycles(g, [4, 5]) == {4: None, 5: (0, 1, 2, 3, 4)}
+    assert searched == [(4, blocks[0]), (5, blocks[0])] + [(4, b) for b in blocks[1:]]
+
+
+def test_each_length_searches_the_blocks_up_to_its_component(searched):
+    # a path on 0..5, then a pentagon on 6..10, then a square on 11..14
+    rot = [[1], [0, 2], [1, 3], [2, 4], [3, 5], [4]]
+    rot += [[6 + (i - 1) % 5, 6 + (i + 1) % 5] for i in range(5)]
+    rot += [[11 + (i - 1) % 4, 11 + (i + 1) % 4] for i in range(4)]
+    g = build_plane_graph(rot)
+    assert doubling_blocks(g) == [(6,), (11,)]
+    assert least_cycles(g, [4, 5, 6]) == {4: (11, 12, 13, 14), 5: (6, 7, 8, 9, 10), 6: None}
+    assert searched == [(4, (6,)), (5, (6,)), (6, (6,)), (4, (11,)), (6, (11,))]
