@@ -212,8 +212,6 @@ def _cmd_discharge(args) -> int:
             lines += [f"      reducible [{r.kind}] {r.detail}" for r in n.nearby_reducible]
             lines += [f"      hypothesis: {note}" for note in n.hypothesis_notes]
         print("\n".join(lines))
-    else:
-        print("  all final charges non-negative")
     if args.json_out:
         doc = ledger_to_json(ledger, report)
         doc["version"] = TOOL_VERSION
@@ -244,6 +242,14 @@ def _make_cover(args, g: PlaneGraph) -> Cover:
         raise CliError(f"cannot read cover: {exc}")
 
 
+def _parse_defects(spec: str) -> DefectVector:
+    try:
+        budgets = tuple(int(x) for x in spec.split(","))
+    except ValueError:
+        raise CliError(f"--defects must be comma-separated integers, got {spec!r}") from None
+    return DefectVector(budgets)
+
+
 def _check_limit(limit: int) -> None:
     if limit < 1:
         raise CliError(f"--limit must be at least 1, got {limit}")
@@ -267,8 +273,7 @@ def _cmd_solve(args) -> int:
     if args.mode == "defect":
         if not args.defects:
             raise CliError("--mode defect requires --defects d1,d2,...")
-        budgets = tuple(int(x) for x in args.defects.split(","))
-        d = DefectVector(budgets)
+        d = _parse_defects(args.defects)
         outcome = find_defective_dp(cover, d, node_limit=args.limit)
         ordered = None
         assignment = outcome.transversal
@@ -298,7 +303,7 @@ def _cmd_solve(args) -> int:
         if ordered:
             doc["order"] = [[v, c] for v, c in ordered.order]
         if args.mode == "defect":
-            doc["defects"] = list(budgets)
+            doc["defects"] = list(d.budgets)
         with open(args.json_out, "w", encoding="utf-8") as fh:
             fh.write(dump_json(doc))
         print(f"  transversal written to {args.json_out}")
@@ -340,10 +345,8 @@ def _cmd_verify(args) -> int:
         raise CliError("malformed transversal: colors, order entries and defects must be integers")
     # with no flag given, the recorded order is checked, else the recorded budgets
     check_order = args.order or ("order" in doc and not args.defects)
-    if args.defects:
-        budgets = args.defects.split(",")
-    elif check_order:
-        budgets = []
+    if args.defects or check_order:
+        budgets = args.defects or []
     if not (check_order or budgets):
         raise CliError("nothing to verify: the transversal has no order and no defects; "
                        "pass --order or --defects")
@@ -361,7 +364,7 @@ def _cmd_verify(args) -> int:
                   f"{v.position}: {v.detail}")
             ok = False
     if budgets:  # --defects is parsed only here, after any order verdict is printed
-        d = DefectVector(tuple(map(int, budgets)))
+        d = _parse_defects(args.defects) if args.defects else DefectVector(tuple(budgets))
         report = verify_defective(cover, assignment, d)
         if report.passed:
             print(f"{name}: defective budgets respected")

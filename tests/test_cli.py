@@ -4,7 +4,7 @@ import os
 import pytest
 
 from dpcharge import catalog
-from dpcharge.catalog import generate
+from dpcharge.catalog import DEFAULT_CATALOG, generate
 from dpcharge.cli import cli_dispatch
 from dpcharge.cover import cover_doc, cover_from_json, identity_cover
 from dpcharge.rotfile import graph_hash, serialize_rotation_file
@@ -195,7 +195,17 @@ def test_solve_rejects_a_cover_json_it_would_not_read(cover, tmp_path, capsys):
     (["--mode", "ba", "--full"], "--full is read only with --cover random, not --cover identity"),
     (["--mode", "ba", "--cover", "json", "--full"],
      "--full is read only with --cover random, not --cover json"),
-], ids=["defects", "seed-full", "seed-0", "full", "full-json"])
+    # and one that it needs, or cannot read
+    (["--mode", "ba", "--cover", "json"], "--cover json requires --cover-json PATH"),
+    (["--mode", "defect"], "--mode defect requires --defects d1,d2,..."),
+    # argparse would read "-1,2,2" after a space as an option
+    (["--mode", "defect", "--defects=-1,2,2"], "defect budgets must be non-negative"),
+    (["--mode", "defect", "--defects", "a,2,2"],
+     "--defects must be comma-separated integers, got 'a,2,2'"),
+    (["--mode", "defect", "--defects", "0,,2"],
+     "--defects must be comma-separated integers, got '0,,2'"),
+], ids=["defects", "seed-full", "seed-0", "full", "full-json", "json-without-cover-json",
+        "defect-without-defects", "negative-budget", "letter-budget", "empty-budget"])
 def test_solve_rejects_an_option_it_would_not_read(argv, message, tmp_path, capsys):
     g_path = tmp_path / "t.pg"
     assert cli_dispatch(["gen", "triangle", "-o", str(g_path)]) == 0
@@ -265,6 +275,38 @@ def test_hunt_cli(tmp_path, capsys):
     assert "skipped cube" in out
     doc = json.loads(report.read_text())
     assert doc["found"] == 5 and not doc["candidates"]
+
+
+# The paper's two checks over the whole catalog: both rule sets on every
+# graph, and a seeded hunt under both profiles.
+
+
+@pytest.mark.parametrize("rules", ["rs48", "rs46"])
+@pytest.mark.parametrize("name", DEFAULT_CATALOG)
+def test_discharge_every_catalog_graph(name, rules, tmp_path, capsys):
+    # the total is forced to -8, so some element always ends negative
+    path = tmp_path / "g.pg"
+    assert cli_dispatch(["gen", name, "-o", str(path)]) == 0
+    capsys.readouterr()
+    assert cli_dispatch(["discharge", str(path), "--rules", rules]) == 1
+    out = capsys.readouterr().out
+    assert "\n  sum of initial charges: -8 (identity -8: ok)\n" in out
+    assert "\n  conservation: ok\n" in out
+
+
+@pytest.mark.parametrize("profile", ["no48", "no46"])
+def test_hunt_without_graphs_hunts_the_whole_catalog(profile, tmp_path, capsys):
+    report = tmp_path / f"hunt-{profile}.json"
+    assert cli_dispatch(["hunt", "--profile", profile, "--seeds", "0..1",
+                         "--json", str(report)]) == 0
+    doc = json.loads(report.read_text())
+    skipped = [s["name"] for s in doc["skipped"]]
+    hunted = [name for name in DEFAULT_CATALOG if name not in skipped]
+    assert [g["name"] for g in doc["graphs"]] == list(DEFAULT_CATALOG)
+    assert doc["seeds"] == [0, 1] and doc["candidates"] == []
+    # every seed of every graph hunted is found, a candidate or exhausted
+    assert doc["found"] + len(doc["candidates"]) + len(doc["exhausted"]) == 2 * len(hunted) > 0
+    assert "candidates: 0;" in capsys.readouterr().out
 
 
 P3_TEXT = "planegraph p3\nn 3\nv 0: 1\nv 1: 0 2\nv 2: 1\n"  # the triangle less edge 0-2
@@ -347,10 +389,14 @@ def test_version(capsys):
     assert code == 0
 
 
-@pytest.mark.parametrize("seeds", ["9..3", "5..4"])
-def test_hunt_empty_seed_range_is_usage_error(seeds, capsys):
+@pytest.mark.parametrize("seeds,message", [
+    ("9..3", "empty seed range '9..3': A must not exceed B"),
+    ("5..4", "empty seed range '5..4': A must not exceed B"),
+    ("5..x", "bad seed range '5..x', expected A..B"),
+], ids=["9..3", "5..4", "5..x"])
+def test_hunt_empty_seed_range_is_usage_error(seeds, message, capsys):
     assert cli_dispatch(["hunt", "cycle:5", "--profile", "no46", "--seeds", seeds]) == 2
-    assert "empty seed range" in capsys.readouterr().err
+    assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
 def test_hunt_seed_range_past_its_cap_is_usage_error(capsys):
@@ -590,6 +636,10 @@ def test_verify_runs_every_check_asked_for(tmp_path, capsys):
     assert cli_dispatch(verify + ["--order", "--defects", "0,0,0"]) == 1
     out = capsys.readouterr().out
     assert "order conditions pass" in out and "> budget 0" in out
+    # budgets that are not integers are an input error, found after the order verdict
+    assert cli_dispatch(verify + ["--order", "--defects", "0,,2"]) == 2
+    assert capsys.readouterr() == ("k4: order conditions pass\n", "error: --defects must be "
+                                   "comma-separated integers, got '0,,2'\n")
 
 
 @pytest.mark.parametrize("argv", [

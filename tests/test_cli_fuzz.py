@@ -9,17 +9,34 @@ exit codes (0, 1, 2, 3) and let no exception escape.
 Two inputs are kept small on purpose, because their cost grows with the
 value by design: a ``hunt`` seed range runs one job per seed, so a range
 spans at most three seeds, and ``hunt`` always names its graphs (with
-none it runs the whole catalog).  Each graph is a small catalog graph,
-so any node budget ends quickly.
+none it runs the whole catalog).  Each graph it builds is a small catalog
+graph, so any node budget ends quickly.
+
+Catalog sizes are also drawn past ``MAX_CATALOG_VERTICES``, for ``gen``
+and ``hunt``.  Such a command runs in a child process that limits its
+own address space to 1 GB, so if the cap were lost it would fail with a
+``MemoryError`` traceback instead of taking the machine's memory.  No
+size at or below the cap that would build a large graph is drawn.
 """
 
 import io
+import os
+import subprocess
+import sys
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import dpcharge
 from dpcharge.cli import cli_dispatch
+
+SRC = str(Path(dpcharge.__file__).resolve().parent.parent)
+# one vertex past the cap, and two sizes that no memory holds
+PAST_THE_CAP = ["cycle:100001", "cycle:1000000000000", "theta:1000000000000,1,1"]
+CHILD = ("import resource, sys; resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30)); "
+         "from dpcharge.cli import cli_dispatch; sys.exit(cli_dispatch(sys.argv[1:]))")
 
 BIG = 10**30
 NUMBERS = st.one_of(
@@ -47,7 +64,7 @@ def files(tmp_path_factory):
     return {
         "graph": [str(graph)] * 4 + bad_graphs,
         "hunt_graph": [str(graph), "k4", "cycle:5", "theta:1,2,2", "cycle:2", "nonesuch"]
-                      + bad_graphs,
+                      + bad_graphs + PAST_THE_CAP,
         "json_in": [str(d / "ba.json"), str(d / "defect.json"), str(d / "cover.json")] * 2
                    + [str(d / "bad.json"), str(d / "missing.json"), str(d)],
         "out": [str(d / "out.json")] * 4 + [str(d / "no-dir" / "out.json"), str(d)],
@@ -74,7 +91,7 @@ def _draw_argv(draw, files) -> list[str]:
     args, required, optional = [], [], []
     if command == "gen":
         args = [draw(st.sampled_from(["k4", "triangle", "cycle:5", "theta:2,2,3", "cycle:2",
-                                      "cycle:x", "theta:1,2", "nonesuch", ""]))]
+                                      "cycle:x", "theta:1,2", "nonesuch", "", *PAST_THE_CAP]))]
         required = [["-o", pick("out")]]
     elif command == "hunt":
         args = draw(st.lists(st.sampled_from(files["hunt_graph"]), min_size=1, max_size=2))
@@ -113,7 +130,14 @@ def _draw_argv(draw, files) -> list[str]:
 @settings(max_examples=300, deadline=None)
 def test_fuzz_cli_arguments(data, files):
     argv = _draw_argv(data.draw, files)
-    sink = io.StringIO()
-    with redirect_stdout(sink), redirect_stderr(sink):
-        code = cli_dispatch(argv)
-    assert code in (0, 1, 2, 3), (argv, code, sink.getvalue()[-300:])
+    if set(argv) & set(PAST_THE_CAP):
+        done = subprocess.run([sys.executable, "-c", CHILD, *argv], capture_output=True,
+                              text=True, env={**os.environ, "PYTHONPATH": SRC}, timeout=120)
+        code, output = done.returncode, done.stdout + done.stderr
+        assert "Traceback" not in output, (argv, output[-300:])
+    else:
+        sink = io.StringIO()
+        with redirect_stdout(sink), redirect_stderr(sink):
+            code = cli_dispatch(argv)
+        output = sink.getvalue()
+    assert code in (0, 1, 2, 3), (argv, code, output[-300:])

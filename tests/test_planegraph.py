@@ -135,9 +135,11 @@ def test_incident_faces_corner_multiplicity():
     # a defect of a later vertex outranks a missing reverse at an earlier one
     ([(1,), (), (2,)], "loop at vertex 2"),
     ([(1,), (), (5,)], "vertex 2: neighbor 5 out of range"),
+    # a mapping must be keyed by the ids 0..n-1
+    ({0: [1], 2: [0]}, "vertex ids must be exactly 0..1"),
 ], ids=["out-of-range", "negative", "loop-first", "repeated", "range-at-second-vertex",
         "missing-reverse", "missing-reverse-later", "torus", "loop-before-reverse",
-        "range-before-reverse"])
+        "range-before-reverse", "mapping-ids-not-0-to-n"])
 def test_rejection_messages(rotations, message):
     with pytest.raises(EmbeddingError) as info:
         build_plane_graph(rotations)

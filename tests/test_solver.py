@@ -6,6 +6,7 @@ import pytest
 
 from dpcharge.cover import Cover, identity_cover, random_cover
 from dpcharge.catalog import generate
+from dpcharge import oracle
 from dpcharge.oracle import brute_ba, brute_defective
 from dpcharge.planegraph import build_plane_graph
 from dpcharge.solver import (BAReport, BAViolation, DefectVector, OrderedTransversal, SearchStatus,
@@ -176,6 +177,15 @@ def test_ba_verdict_of_a_transversal(cover, t, orderable):
     passed = [verify_ba(cover, OrderedTransversal(t, order)).passed
               for order in permutations(t.items())]
     assert any(passed) is orderable
+
+
+def test_oracle_cuts_a_left_neighbour_with_two_placed_neighbours():
+    # colour 2 on every vertex of the star K1,3: the centre may follow at
+    # most one leaf, so the last leaf finds the centre already adjacent to
+    # two placed nodes, which the load bound forbids
+    cover = Cover(STAR3, 1, ((2,),) * 4, {(0, v): ((2, 2),) for v in (1, 2, 3)})
+    assert oracle._orderable(cover, {v: 2 for v in range(4)}) is None
+    assert brute_ba(cover).status is find_ba(cover).status is SearchStatus.NONE
 
 
 # -- B_A and (0,2,2) are incomparable on a single transversal -----------
