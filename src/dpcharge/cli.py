@@ -2,7 +2,8 @@
 
 Subcommands: gen, faces, structure, discharge, solve, verify, hunt.
 Exit codes: 0 success / verdict passes; 1 violation or hunt
-candidate; 2 input or usage error; 3 search budget exhausted.
+candidate; 2 input or usage error; 3 search budget exhausted.  main()
+lets SIGPIPE end a command whose output pipe closes early.
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ import argparse
 import functools
 import json
 import os
+import signal
 import sys
 from itertools import chain
 
@@ -154,8 +156,8 @@ def _cmd_structure(args) -> int:
     print(f"  reducible configurations: {len(red)}")
     for r in red:
         print(f"    [{r.kind}] {r.detail}")
-    report = check_structural_lemmas(g, profile)
-    for item in report.items:
+    items = check_structural_lemmas(g, profile)
+    for item in items:
         line = f"    {item.item}: {item.verdict.value}"
         if item.verdict is Verdict.HYPOTHESIS_NOT_MET:
             line += (f" (conclusion {'holds' if item.conclusion_holds else 'fails'}"
@@ -188,11 +190,11 @@ def _cmd_structure(args) -> int:
                         "conclusion_holds": r.conclusion_holds,
                         "witness": repr(r.witness) if r.witness else None,
                         "notes": list(r.hypothesis_notes)}
-                       for r in report.items],
+                       for r in items],
         }
         with open(args.json_out, "w", encoding="utf-8") as fh:
             fh.write(dump_json(doc))
-    return EXIT_VIOLATION if report.violated else EXIT_OK
+    return EXIT_VIOLATION if any(r.verdict is Verdict.VIOLATED for r in items) else EXIT_OK
 
 
 def _cmd_discharge(args) -> int:
@@ -458,6 +460,10 @@ def cli_dispatch(argv: list[str]) -> int:
 
 
 def main() -> None:
+    # a reader that closes the pipe early ends the process as it ends cat
+    # or head: killed by SIGPIPE, with nothing on stderr
+    if hasattr(signal, "SIGPIPE"):
+        signal.signal(signal.SIGPIPE, signal.SIG_DFL)
     sys.exit(cli_dispatch(sys.argv[1:]))
 
 

@@ -185,15 +185,9 @@ def enumerate_covers(graph: PlaneGraph, k: int, edge_budget: int) -> Iterator[Co
             for ms in product(per_edge, repeat=len(edges)))
 
 
-@dataclass(frozen=True)
-class CoverValidation:
-    valid: bool
-    violations: tuple[str, ...]
-
-
-def validate_cover(cover: Cover) -> CoverValidation:
-    """Check k >= 1, the cover conditions and u < v on each key;
-    violations name the edge."""
+def validate_cover(cover: Cover) -> tuple[str, ...]:
+    """Check k >= 1, the cover conditions and u < v on each key; the
+    problems found name the edge, and a valid cover has none."""
     problems: list[str] = [] if cover.k >= 1 else [f"k must be at least 1, got {cover.k}"]
     for (u, v), pairs in sorted(cover.matchings.items()):
         if u > v:
@@ -220,7 +214,7 @@ def validate_cover(cover: Cover) -> CoverValidation:
             problems.append(f"vertex {v}: repeated color in list")
         if any(c < 1 for c in lst):
             problems.append(f"vertex {v}: non-positive color id")
-    return CoverValidation(not problems, tuple(problems))
+    return tuple(problems)
 
 
 # -- serialization -----------------------------------------------------
@@ -286,7 +280,6 @@ def cover_from_doc(doc: object, graph: PlaneGraph | None = None) -> Cover:
     if not set(map(type, numbers)) <= {int}:  # bool is an int subclass, not a JSON number
         raise ValueError("cover JSON: k and every color must be integers")
     cover = Cover(graph, doc["k"], lists, matchings, prov)
-    problems = validate_cover(cover)
-    if not problems.valid:
-        raise ValueError("invalid cover: " + "; ".join(problems.violations))
+    if problems := validate_cover(cover):
+        raise ValueError("invalid cover: " + "; ".join(problems))
     return cover

@@ -45,35 +45,7 @@ class LemmaItemResult:
         return Verdict.HOLDS if self.conclusion_holds else Verdict.VIOLATED
 
 
-@dataclass(frozen=True)
-class LemmaReport:
-    items: tuple[LemmaItemResult, ...]
-
-    @property
-    def violated(self) -> tuple[LemmaItemResult, ...]:
-        return tuple(r for r in self.items if r.verdict is Verdict.VIOLATED)
-
-
 Check = Callable[[PlaneGraph], tuple[bool, tuple | None]]
-
-
-def _pairs_of_degrees(graph: PlaneGraph, d1: int, d2: int):
-    for f in graph.faces:
-        if f.degree != d1:
-            continue
-        for g in graph.adjacent_faces(f):
-            if g.degree == d2 and (d1 != d2 or f.id < g.id):
-                yield f, g
-
-
-def _no_adjacent_3_faces(graph: PlaneGraph):
-    # a doubly covered triangle (the graph K3) is one cycle bounding both
-    # of its sides, not two triangles; the 4-cycle argument needs the
-    # boundaries to differ, which is automatic once delta >= 3
-    for f, g in _pairs_of_degrees(graph, 3, 3):
-        if f.vertex_set != g.vertex_set:
-            return False, (f.id, g.id)
-    return True, None
 
 
 def _normally_adjacent(f: Face, g: Face) -> bool:
@@ -82,19 +54,27 @@ def _normally_adjacent(f: Face, g: Face) -> bool:
     return f.simple and g.simple and len(f.vertex_set & g.vertex_set) == 2
 
 
-def _adjacent_implies_normal(d_small: int, d_big: int) -> Check:
-    def check(graph: PlaneGraph):
-        for f, g in _pairs_of_degrees(graph, d_small, d_big):
-            if not _normally_adjacent(f, g):
-                return False, (f.id, g.id)
-        return True, None
-    return check
+def _same_boundary(f: Face, g: Face) -> bool:
+    # a doubly covered triangle (the graph K3) is one cycle bounding both
+    # of its sides, not two triangles; the 4-cycle argument needs the
+    # boundaries to differ, which is automatic once delta >= 3
+    return f.vertex_set == g.vertex_set
 
 
-def _never_adjacent(d1: int, d2: int) -> Check:
+def _never(f: Face, g: Face) -> bool:
+    return False
+
+
+def _adjacent_only_if(d1: int, d2: int, allowed: Callable[[Face, Face], bool]) -> Check:
+    """Every adjacent d1-face and d2-face (each pair once) satisfy
+    allowed; the witness is the first pair that does not."""
     def check(graph: PlaneGraph):
-        for f, g in _pairs_of_degrees(graph, d1, d2):
-            return False, (f.id, g.id)
+        for f in graph.faces:
+            if f.degree != d1:
+                continue
+            for g in graph.adjacent_faces(f):
+                if g.degree == d2 and (d1 != d2 or f.id < g.id) and not allowed(f, g):
+                    return False, (f.id, g.id)
         return True, None
     return check
 
@@ -130,15 +110,15 @@ def _seven_faces_are_chordless_cycles(graph: PlaneGraph):
 # change the reports of the catalog graphs of minimum degree 2
 _ITEMS_NO48: tuple[tuple[str, int, Check], ...] = (
     # no two 3-faces are adjacent
-    ("no48.i", 0, _no_adjacent_3_faces),
+    ("no48.i", 0, _adjacent_only_if(3, 3, _same_boundary)),
     # a 3-face adjacent to a 5-face is normally adjacent
-    ("no48.ii", 2, _adjacent_implies_normal(3, 5)),
+    ("no48.ii", 2, _adjacent_only_if(3, 5, _normally_adjacent)),
     # a 3-face adjacent to a 6-face is normally adjacent
-    ("no48.iii", 3, _adjacent_implies_normal(3, 6)),
+    ("no48.iii", 3, _adjacent_only_if(3, 6, _normally_adjacent)),
     # no 7-face is adjacent to a 3-face
-    ("no48.iv", 3, _never_adjacent(3, 7)),
+    ("no48.iv", 3, _adjacent_only_if(3, 7, _never)),
     # no two 5-faces are adjacent
-    ("no48.v", 3, _never_adjacent(5, 5)),
+    ("no48.v", 3, _adjacent_only_if(5, 5, _never)),
     # each 5-face is adjacent to at most two 3-faces
     ("no48.vi", 3, _at_most_k_triangles(5, 2)),
     # each 6-face is adjacent to at most one 3-face
@@ -147,19 +127,19 @@ _ITEMS_NO48: tuple[tuple[str, int, Check], ...] = (
 
 _ITEMS_NO46: tuple[tuple[str, int, Check], ...] = (
     # no two 3-faces are adjacent
-    ("no46.i", 0, _no_adjacent_3_faces),
+    ("no46.i", 0, _adjacent_only_if(3, 3, _same_boundary)),
     # no 3-face is adjacent to a 5-face
-    ("no46.ii", 2, _never_adjacent(3, 5)),
+    ("no46.ii", 2, _adjacent_only_if(3, 5, _never)),
     # no 3-face is adjacent to a 6-face
-    ("no46.iii", 3, _never_adjacent(3, 6)),
+    ("no46.iii", 3, _adjacent_only_if(3, 6, _never)),
     # every 7-face is bounded by a 7-cycle and every 7-cycle is chordless
     ("no46.iv", 2, _seven_faces_are_chordless_cycles),
     # a 3-face adjacent to a 7-face is normally adjacent
-    ("no46.v", 2, _adjacent_implies_normal(3, 7)),
+    ("no46.v", 2, _adjacent_only_if(3, 7, _normally_adjacent)),
 )
 
 
-def check_structural_lemmas(graph: PlaneGraph, profile: Profile) -> LemmaReport:
+def check_structural_lemmas(graph: PlaneGraph, profile: Profile) -> tuple[LemmaItemResult, ...]:
     hypothesis = check_profile(graph, profile)
     cycle_notes = hypothesis.cycle_notes
     items = _ITEMS_NO48 if profile is Profile.NO48 else _ITEMS_NO46
@@ -176,7 +156,7 @@ def check_structural_lemmas(graph: PlaneGraph, profile: Profile) -> LemmaReport:
             conclusion_holds=holds,
             witness=witness,
         ))
-    return LemmaReport(tuple(results))
+    return tuple(results)
 
 
 # -- the special 3-vertex configuration --------------------------------
@@ -188,84 +168,35 @@ class SpecialVertexRecord:
 
     The three clauses (in a 4,8-cycle-free graph of minimum degree 3):
     the 5-face and the 6-face share exactly one vertex besides the
-    special vertex's neighbors; the 5-face is adjacent to exactly one
-    3-face; no other special 3-vertex lies on either face.
+    special vertex and its neighbors; the 5-face is adjacent to exactly
+    one 3-face, the special vertex's own; no other special 3-vertex lies
+    on either face.
 
-    Counting is normalized for minimum degree 3: a 3-face containing a
-    vertex of degree <= 2 cannot bound in such a graph and is excluded
-    from the second clause (listed under ``excluded_triangles``), and a
-    putative special vertex adjacent to a degree <= 2 vertex is excluded
-    from the third (it is in ``other_specials_raw``, not in
-    ``other_specials``).  Both filters are vacuous when the minimum
-    degree is 3.
+    Counting is normalized for minimum degree 3: a 3-face holding a
+    vertex of degree <= 2 cannot bound in such a graph and is not
+    counted in the second clause, and a special vertex with a neighbor
+    of degree <= 2 is not counted in the third.  Both filters are
+    vacuous when the minimum degree is 3; ``structure`` prints the
+    forbidden cycles and the minimum degree that explain a failing
+    clause.
     """
 
     vertex: int
-    triangle_face: int
-    identification_candidates: tuple[int, ...]
     identification_ok: bool
-    adjacent_triangles_raw: tuple[int, ...]
-    adjacent_triangles: tuple[int, ...]
-    excluded_triangles: tuple[tuple[int, str], ...]
     one_triangle_ok: bool
-    other_specials_raw: tuple[int, ...]
-    other_specials: tuple[int, ...]
     uniqueness_ok: bool
-    hypothesis_notes: tuple[str, ...]
-
-
-def _degenerate_vertex(graph: PlaneGraph, face: Face) -> int | None:
-    for u in sorted(face.vertex_set):
-        if graph.degree(u) <= 2:
-            return u
-    return None
 
 
 def special_vertex_analysis(graph: PlaneGraph) -> list[SpecialVertexRecord]:
     cls = classify_vertices(graph)
-    hypothesis = check_profile(graph, Profile.NO48)
+    deg = graph.degrees
     records = []
     for v, faces in sorted(cls.special.items()):
         f1, f2, f3 = (graph.faces[f] for f in faces)
-
-        ident = tuple(sorted((f2.vertex_set & f3.vertex_set)
-                             - ({v} | set(graph.neighbors(v)))))
-        identification_ok = len(ident) == 1
-
-        raw_tris = tuple(sorted(g.id for g in graph.adjacent_faces(f2) if g.degree == 3))
-        excluded_t = []
-        kept_tris = []
-        for fid in raw_tris:
-            degen = _degenerate_vertex(graph, graph.faces[fid])
-            if degen is not None:
-                excluded_t.append(
-                    (fid, f"3-face {fid} contains vertex {degen} of degree "
-                          f"{graph.degree(degen)} <= 2, impossible with minimum degree 3"))
-            else:
-                kept_tris.append(fid)
-        one_triangle_ok = len(kept_tris) == 1 and kept_tris[0] == f1.id
-
-        on_faces = (f2.vertex_set | f3.vertex_set) - {v}
-        raw_others = tuple(sorted(u for u in on_faces if u in cls.special))
-        kept_others = tuple(u for u in raw_others
-                            if all(graph.degree(w) > 2 for w in graph.neighbors(u)))
-        uniqueness_ok = not kept_others
-
-        notes: list[str] = []
-        if not (identification_ok and one_triangle_ok and uniqueness_ok):
-            notes = hypothesis.notes()
-        records.append(SpecialVertexRecord(
-            vertex=v,
-            triangle_face=f1.id,
-            identification_candidates=ident,
-            identification_ok=identification_ok,
-            adjacent_triangles_raw=raw_tris,
-            adjacent_triangles=tuple(kept_tris),
-            excluded_triangles=tuple(excluded_t),
-            one_triangle_ok=one_triangle_ok,
-            other_specials_raw=raw_others,
-            other_specials=kept_others,
-            uniqueness_ok=uniqueness_ok,
-            hypothesis_notes=tuple(notes),
-        ))
+        shared = (f2.vertex_set & f3.vertex_set) - {v} - graph.neighbors(v)
+        tris = [g.id for g in graph.adjacent_faces(f2)
+                if g.degree == 3 and all(deg[u] > 2 for u in g.vertex_set)]
+        others = [u for u in (f2.vertex_set | f3.vertex_set) - {v}
+                  if u in cls.special and all(deg[w] > 2 for w in graph.neighbors(u))]
+        records.append(SpecialVertexRecord(v, len(shared) == 1, tris == [f1.id], not others))
     return records

@@ -24,7 +24,6 @@ from .planegraph import EmbeddingError, PlaneGraph, build_plane_graph
 
 class RotationFileError(ValueError):
     def __init__(self, line_no: int | None, message: str):
-        self.line_no = line_no
         prefix = f"line {line_no}: " if line_no is not None else ""
         super().__init__(prefix + message)
 

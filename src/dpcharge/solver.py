@@ -89,7 +89,6 @@ def induced_neighbors(cover: Cover, t: Transversal) -> dict[int, list[int]]:
 @dataclass(frozen=True)
 class DefectReport:
     passed: bool
-    degrees: tuple[tuple[int, int], ...]  # (vertex, induced degree)
     violations: tuple[tuple[int, int, int, int], ...]  # (vertex, color, degree, budget)
 
 
@@ -103,7 +102,7 @@ def verify_defective(cover: Cover, t: Transversal, d: DefectVector) -> DefectRep
         c = t[v]
         if deg[v] > d.budget(c):
             violations.append((v, c, deg[v], d.budget(c)))
-    return DefectReport(not violations, tuple(sorted(deg.items())), tuple(violations))
+    return DefectReport(not violations, tuple(violations))
 
 
 @dataclass(frozen=True)
@@ -324,7 +323,6 @@ class OrderedTransversal:
 @dataclass(frozen=True)
 class BAViolation:
     condition: int  # 1 or 2
-    node: Node
     position: int
     detail: str
 
@@ -354,15 +352,15 @@ def verify_ba(cover: Cover, ot: OrderedTransversal) -> BAReport:
             w = lefts[0]
             if node[1] == 1:
                 return BAReport(False, BAViolation(
-                    1, node, p, f"color-1 node {node} has left neighbor {(w, t[w])}"))
+                    1, p, f"color-1 node {node} has left neighbor {(w, t[w])}"))
             if len(lefts) > 1:
                 return BAReport(False, BAViolation(
-                    2, node, p, f"node {node} has {len(lefts)} left neighbors"))
+                    2, p, f"node {node} has {len(lefts)} left neighbors"))
             load = sum(x in placed for x in nbrs[w])
             if load > 1:
                 return BAReport(False, BAViolation(
-                    2, node, p, f"left neighbor {(w, t[w])} of {node} is "
-                                f"adjacent to {load} nodes left of it"))
+                    2, p, f"left neighbor {(w, t[w])} of {node} is "
+                          f"adjacent to {load} nodes left of it"))
         placed.add(node[0])
     return BAReport(True, None)
 

@@ -10,7 +10,8 @@ from charge_fixtures import beta_family, beta_proof_cases, build_cases
 from dpcharge.catalog import DEFAULT_CATALOG, generate
 from dpcharge.cover import enumerate_covers, random_cover
 from dpcharge.discharge import RuleSet, audit, initial_charges, run_rules
-from dpcharge.lemmas import Verdict, check_structural_lemmas, special_vertex_analysis
+from dpcharge.lemmas import (SpecialVertexRecord, Verdict, check_structural_lemmas,
+                             special_vertex_analysis)
 from dpcharge.oracle import brute_ba, brute_defective
 from dpcharge.planegraph import build_plane_graph
 from dpcharge.solver import (DefectVector, OrderedTransversal, SearchStatus,
@@ -151,13 +152,13 @@ def test_criterion_6_theorems(catalog):
 def test_criterion_7_lemma_soundness(catalog):
     for name, g in catalog.items():
         for profile in (Profile.NO48, Profile.NO46):
-            report = check_structural_lemmas(g, profile)
-            assert not report.violated, (name, profile)
+            items = check_structural_lemmas(g, profile)
+            assert all(r.verdict is not Verdict.VIOLATED for r in items), (name, profile)
 
     # contrapositive 1: adjacent 5-faces on the dodecahedron come with an
     # 8-cycle witness
-    report = check_structural_lemmas(generate("dodecahedron"), Profile.NO48)
-    item = next(r for r in report.items if r.item == "no48.v")
+    items = check_structural_lemmas(generate("dodecahedron"), Profile.NO48)
+    item = next(r for r in items if r.item == "no48.v")
     assert item.verdict is Verdict.HYPOTHESIS_NOT_MET
     assert not item.conclusion_holds and item.witness is not None
     assert any("8-cycle" in n for n in item.hypothesis_notes)
@@ -168,8 +169,7 @@ def test_criterion_7_lemma_soundness(catalog):
     p.attach_apex(0, 1)
     g = p.build()
     for profile in (Profile.NO48, Profile.NO46):
-        report = check_structural_lemmas(g, profile)
-        item = report.items[0]
+        item = check_structural_lemmas(g, profile)[0]
         assert item.verdict is Verdict.HYPOTHESIS_NOT_MET
         assert not item.conclusion_holds and item.witness is not None
         assert any("4-cycle" in n for n in item.hypothesis_notes)
@@ -180,11 +180,8 @@ def test_criterion_8_figure1():
     g = generate("figure1")
     assert (g.vertex_count, g.edge_count, g.face_count) == (8, 11, 5)
     assert sorted(f.degree for f in g.faces) == [3, 3, 5, 5, 6]
-    records = special_vertex_analysis(g)
-    rec = next(r for r in records if r.vertex == 0)
-    assert rec.identification_ok and rec.identification_candidates == (4,)
-    assert rec.one_triangle_ok and rec.adjacent_triangles == (rec.triangle_face,)
-    assert rec.uniqueness_ok
+    rec = next(r for r in special_vertex_analysis(g) if r.vertex == 0)
+    assert rec == SpecialVertexRecord(0, True, True, True)
 
 
 @criterion(9, "per-element final-charge cases all non-negative")

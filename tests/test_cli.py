@@ -1,5 +1,8 @@
 import json
 import os
+import signal
+import subprocess
+import sys
 
 import pytest
 
@@ -10,6 +13,7 @@ from dpcharge.cover import cover_doc, cover_from_json, identity_cover
 from dpcharge.rotfile import graph_hash, serialize_rotation_file
 from dpcharge.solver import SearchStatus, find_ba
 
+from cli_child import SRC, run_limited
 from cover_fixtures import paper_cover
 
 
@@ -27,6 +31,27 @@ def test_gen_and_faces(figure1_file, capsys):
     assert "F=5" in out
 
 
+def _cap_error(name: str, vertices: str) -> str:
+    return f"error: catalog graph {name!r} would have {vertices} vertices, more than 100,000\n"
+
+
+# one vertex past the cap: a lost cap builds about 100 MB and exits 0
+@pytest.mark.parametrize("argv, name", [
+    (["gen", "cycle:100001", "-o", "x.pg"], "cycle:100001"),
+    (["hunt", "cycle:100001", "--profile", "no48", "--seeds", "0..0"], "cycle:100001"),
+    (["gen", "theta:49999,49999,1", "-o", "x.pg"], "theta:49999,49999,1"),
+], ids=["gen-cycle", "hunt-cycle", "gen-theta"])
+def test_catalog_graph_past_its_cap_is_usage_error(tmp_path, monkeypatch, capsys, argv, name):
+    monkeypatch.chdir(tmp_path)
+    assert cli_dispatch(argv) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", _cap_error(name, "100,001"))
+    assert not (tmp_path / "x.pg").exists()
+
+
+# sizes that no memory holds, run in a child limited to 1 GB: these
+# allocated until memory ran out, and the MemoryError escaped with exit
+# 1, the code of a violation
 @pytest.mark.parametrize("argv, name, vertices", [
     (["gen", "cycle:1000000000000", "-o", "x.pg"], "cycle:1000000000000", "1,000,000,000,000"),
     (["hunt", "cycle:1000000000000", "--profile", "no48"], "cycle:1000000000000",
@@ -34,16 +59,9 @@ def test_gen_and_faces(figure1_file, capsys):
     (["gen", "theta:1000000000000,1,1", "-o", "x.pg"], "theta:1000000000000,1,1",
      "1,000,000,000,004"),
 ], ids=["gen-cycle", "hunt-cycle", "gen-theta"])
-def test_catalog_graph_past_its_cap_is_usage_error(tmp_path, monkeypatch, capsys,
-                                                   argv, name, vertices):
-    # these allocated until memory ran out, and the MemoryError escaped
-    # with exit 1, the code of a violation
-    monkeypatch.chdir(tmp_path)
-    assert cli_dispatch(argv) == 2
-    captured = capsys.readouterr()
-    assert (captured.out, captured.err) == (
-        "", f"error: catalog graph {name!r} would have {vertices} vertices, "
-            "more than 100,000\n")
+def test_catalog_graph_no_memory_holds_is_usage_error(tmp_path, argv, name, vertices):
+    done = run_limited(argv, cwd=str(tmp_path))
+    assert (done.returncode, done.stdout, done.stderr) == (2, "", _cap_error(name, vertices))
     assert not (tmp_path / "x.pg").exists()
 
 
@@ -654,6 +672,21 @@ def test_file_errors_are_usage_errors(tmp_path, capsys, argv):
     captured = capsys.readouterr()
     assert any(line.startswith("error: ") for line in captured.err.splitlines())
     assert "Traceback" not in captured.out + captured.err
+
+
+def test_closed_output_pipe_ends_the_process_by_sigpipe(tmp_path):
+    # a reader that stops early says nothing about the input, so this is
+    # not exit 2 with "error: [Errno 32] Broken pipe" but what cat and head do
+    path = tmp_path / "c.pg"
+    assert cli_dispatch(["gen", "cycle:20000", "-o", str(path)]) == 0
+    with subprocess.Popen([sys.executable, "-m", "dpcharge", "discharge", str(path),
+                           "--rules", "rs48"], stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                          env={**os.environ, "PYTHONPATH": SRC}) as proc:
+        assert proc.stdout.readline() == b"cycle:20000: rules rs48, 0 transfers\n"
+        proc.stdout.close()  # megabytes of output are still to come
+        err = proc.stderr.read()
+        assert proc.wait(timeout=60) == -signal.SIGPIPE
+    assert err == b""
 
 
 # Graphs past the interpreter's default recursion depth (about 1000 frames):

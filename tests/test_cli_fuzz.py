@@ -20,23 +20,17 @@ size at or below the cap that would build a large graph is drawn.
 """
 
 import io
-import os
-import subprocess
-import sys
 from contextlib import redirect_stderr, redirect_stdout
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-import dpcharge
 from dpcharge.cli import cli_dispatch
 
-SRC = str(Path(dpcharge.__file__).resolve().parent.parent)
+from cli_child import run_limited
+
 # one vertex past the cap, and two sizes that no memory holds
 PAST_THE_CAP = ["cycle:100001", "cycle:1000000000000", "theta:1000000000000,1,1"]
-CHILD = ("import resource, sys; resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30)); "
-         "from dpcharge.cli import cli_dispatch; sys.exit(cli_dispatch(sys.argv[1:]))")
 
 BIG = 10**30
 NUMBERS = st.one_of(
@@ -131,8 +125,7 @@ def _draw_argv(draw, files) -> list[str]:
 def test_fuzz_cli_arguments(data, files):
     argv = _draw_argv(data.draw, files)
     if set(argv) & set(PAST_THE_CAP):
-        done = subprocess.run([sys.executable, "-c", CHILD, *argv], capture_output=True,
-                              text=True, env={**os.environ, "PYTHONPATH": SRC}, timeout=120)
+        done = run_limited(argv)
         code, output = done.returncode, done.stdout + done.stderr
         assert "Traceback" not in output, (argv, output[-300:])
     else:

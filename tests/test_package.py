@@ -1,6 +1,7 @@
 """The package's import paths: each public name lives in its module only."""
 
 import importlib
+import os
 import subprocess
 import sys
 import warnings
@@ -14,7 +15,7 @@ SRC = str(Path(dpcharge.__file__).resolve().parent.parent)
 
 def _run(*args: str) -> subprocess.CompletedProcess:
     return subprocess.run([sys.executable, *args], capture_output=True, text=True,
-                          env={"PYTHONPATH": SRC}, timeout=60)
+                          env={**os.environ, "PYTHONPATH": SRC}, timeout=60)
 
 
 def test_submodule_is_not_shadowed_by_a_function():

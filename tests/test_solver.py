@@ -99,7 +99,7 @@ def test_verify_ba_condition2_load():
     report = verify_ba(c, OrderedTransversal(t, order))
     assert not report.passed
     assert report.violation.condition == 2
-    assert report.violation.node == (3, 2)
+    assert report.violation.position == 3 and "(3, 2)" in report.violation.detail
 
 
 def test_order_must_match_transversal():
@@ -223,7 +223,10 @@ def test_entries_that_are_not_cover_edges_count_nowhere():
     out = find_defective_dp(cover, d)
     assert (out.status, out.transversal) == (SearchStatus.FOUND, {0: 1, 1: 1, 2: 1})
     report = verify_defective(cover, out.transversal, d)
-    assert report.passed and report.degrees == ((0, 0), (1, 1), (2, 1))
+    assert report.passed
+    # with no defect allowed, the degrees show: (1,1) and (2,1) meet once, (0,1) never
+    assert verify_defective(cover, out.transversal, DefectVector((0,))).violations == (
+        (1, 1, 1, 0), (2, 1, 1, 0))
     assert brute_defective(cover, d).status is SearchStatus.FOUND
     # the cover edge joins two color-1 nodes, so no order exists
     assert find_ba(cover).status is brute_ba(cover).status is SearchStatus.NONE
@@ -290,16 +293,16 @@ def reference_verify_ba(cover: Cover, ot: OrderedTransversal) -> BAReport:
         lefts = [w for w in neighbors_by_definition(cover, node) if w in placed]
         if node[1] == 1 and lefts:
             return BAReport(False, BAViolation(
-                1, node, p, f"color-1 node {node} has left neighbor {lefts[0]}"))
+                1, p, f"color-1 node {node} has left neighbor {lefts[0]}"))
         if node[1] != 1 and len(lefts) > 1:
             return BAReport(False, BAViolation(
-                2, node, p, f"node {node} has {len(lefts)} left neighbors"))
+                2, p, f"node {node} has {len(lefts)} left neighbors"))
         if node[1] != 1 and lefts:
             load = sum(1 for x in neighbors_by_definition(cover, lefts[0]) if x in placed)
             if load > 1:
                 return BAReport(False, BAViolation(
-                    2, node, p, f"left neighbor {lefts[0]} of {node} is adjacent to "
-                                f"{load} nodes left of it"))
+                    2, p, f"left neighbor {lefts[0]} of {node} is adjacent to "
+                          f"{load} nodes left of it"))
         placed.add(node)
     return BAReport(True, None)
 
