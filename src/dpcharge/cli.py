@@ -316,11 +316,31 @@ def _cmd_solve(args) -> int:
     return EXIT_VIOLATION
 
 
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    """A transversal object, refused if a key repeats (json keeps the last)."""
+    doc: dict = {}
+    for key, value in pairs:
+        if key in doc:
+            raise CliError(f"malformed transversal: key {key!r} appears twice")
+        doc[key] = value
+    return doc
+
+
+def _vertex_id(key: str) -> int:
+    """The vertex an assignment key names: only str(v) spells vertex v."""
+    try:
+        if str(v := int(key)) == key:
+            return v
+    except ValueError:
+        pass
+    raise CliError(f"malformed transversal: assignment key {key!r} is not a vertex id")
+
+
 def _cmd_verify(args) -> int:
     g, name = _load(args.file)
     try:
         with open(args.transversal, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
+            doc = json.load(fh, object_pairs_hook=_unique_keys)
     except (OSError, json.JSONDecodeError) as exc:
         raise CliError(f"cannot read transversal: {exc}")
     if not isinstance(doc, dict):
@@ -335,7 +355,7 @@ def _cmd_verify(args) -> int:
                        f"but {args.file} hashes to {actual}")
     try:
         cover = cover_from_doc(doc["cover"], graph=g)
-        assignment = {int(v): c for v, c in doc["assignment"].items()}
+        assignment = {_vertex_id(v): c for v, c in doc["assignment"].items()}
     except (KeyError, TypeError, AttributeError) as exc:
         raise CliError(f"malformed transversal: {exc!r}")
     order, budgets = doc.get("order", []), doc.get("defects", [])

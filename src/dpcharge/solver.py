@@ -15,13 +15,15 @@ exploits this by building the order as the assignment order.
 Both finders are thin wrappers over one search core, _search, which runs
 on an explicit stack with one frame per open placed set (so the depth is
 not bounded by the recursion limit) and does forward checking (Haralick
-& Elliott, AIJ 1980).  A mode is two numbers per node: how many placed
-neighbors the node may have, and how many make a placed node block its
-unplaced neighbors.  The defective search keeps a fixed vertex order and
-the B_A search its fewest-colors-first order, so the pruning never
-changes which solution is found first; a node expanded is one feasible
-placement.  A dead set of placed nodes that the B_A search reaches again
-is charged the nodes its first walk took instead of being walked again.
+& Elliott, AIJ 1980) on counts: it keeps how many feasible nodes each
+vertex has, not their lists, and undo walks the counters back.  A mode
+is two numbers per node: how many placed neighbors the node may have,
+and how many make a placed node block its unplaced neighbors.  The
+defective search keeps a fixed vertex order and the B_A search its
+fewest-colors-first order, so the pruning never changes which solution
+is found first; a node expanded is one feasible placement.  A dead set
+of placed nodes that the B_A search reaches again is charged the nodes
+its first walk took instead of being walked again.
 """
 
 from __future__ import annotations
@@ -125,11 +127,14 @@ def _search(cover: Cover, lim: Sequence[int], sat: Sequence[int],
     a placement that leaves some unplaced vertex without a feasible node
     is undone at once, and a node is counted only when it is placed.
 
-    Feasible nodes are kept per vertex and updated incrementally.
-    Placing p changes feasibility only for the unplaced neighbors of p
-    and, when a placed neighbor q of p becomes saturated, for the
-    unplaced neighbors of q; only their vertices are re-checked, and an
-    undo log restores their lists on backtrack.
+    The search keeps counts, not lists: per node, its placed neighbors
+    (cnt) and its saturated placed neighbors (blk), and per vertex, how
+    many of its nodes pass that test (live; placed vertices included, but
+    only an unplaced vertex at 0 starves).  A node's test changes only
+    when cnt crosses lim or blk leaves or reaches 0, and only then does
+    live change.  Undo walks a placement's counters back, so it restores
+    live as it goes.  A frame reads its vertex's feasible nodes once,
+    when it opens.
 
     Each open placed set has a frame on the stack.  The start and each
     placement open one unless the set is a transversal, leaves a vertex
@@ -137,16 +142,16 @@ def _search(cover: Cover, lim: Sequence[int], sat: Sequence[int],
     vertex order the frame at depth i tries the nodes of fixed[i].
     Otherwise (fixed is None) the placement order is part of the answer,
     so every unplaced vertex is a candidate, in order of fewest feasible
-    nodes (ties by id): vertices are bucketed by list length, so the
-    first candidate is the lowest id of the lowest non-empty bucket, and
-    the later candidates' nodes are read as one list once its nodes are
+    nodes (ties by id): vertices are bucketed by live count, so the first
+    candidate is the lowest id of the lowest non-empty bucket, and the
+    later candidates' nodes are read as one list once its nodes are
     spent (everything placed below the frame is undone by then).
 
-    Below a prefix, the lists, saturations and candidate order depend
-    only on its placed set.  The dynamic search stores each dead set with
-    the placements below it and charges them when another order reaches
-    the set (past node_limit: exhausted at node_limit + 1), so status,
-    order and count are the plain walk's.  Keys are built only after a
+    Below a prefix, the counts and candidate order depend only on its
+    placed set.  The dynamic search stores each dead set with the
+    placements below it and charges them when another order reaches the
+    set (past node_limit: exhausted at node_limit + 1), so status, order
+    and count are the plain walk's.  Keys are built only after a
     failure, and the memo holds no more node ids than have been counted.
     Up to 20 vertices every dead set is kept and a repeat is free.
     """
@@ -157,26 +162,25 @@ def _search(cover: Cover, lim: Sequence[int], sat: Sequence[int],
     at = [-1] * n  # placed node of each vertex, -1 while unplaced
     cnt = [0] * len(vert)  # placed neighbors of each node
     blk = [0] * len(vert)  # saturated placed neighbors of each node
-    cols = [list(r) for r in own]  # feasible nodes of each unplaced vertex
-    top = max((len(r) for r in own), default=0)
-    # buckets by list length, as heaps of vertex ids; an entry is live while
-    # its vertex is unplaced with a list of that length, and stale entries
-    # are dropped when they reach the top.  A heap that reaches cap entries
-    # is replaced by its distinct entries, sorted (a sorted list is a heap),
-    # so no heap outgrows cap however often the search backtracks
+    live = [len(r) for r in own]  # feasible nodes of each vertex
+    top = max(live, default=0)
+    # buckets by live count, as heaps of vertex ids; an entry is live while
+    # its vertex is unplaced with that count, and stale entries are dropped
+    # when they reach the top.  A heap that reaches cap entries is replaced
+    # by its distinct entries, sorted (a sorted list is a heap), so no heap
+    # outgrows cap however often the search backtracks
     heaps: list[list[int]] = [[] for _ in range(top + 1)]
     cap = 2 * n + 16
     for v in range(n):
-        heaps[len(cols[v])].append(v)
-    starved = not all(cols)  # some unplaced vertex has no feasible node
+        heaps[live[v]].append(v)
+    starved = not all(live)  # some unplaced vertex has no feasible node
     order: list[int] = []
-    logs: list[list[tuple[int, list[int]]]] = []  # per placement: (vertex, old list)
     failed: dict[frozenset[int], int] = {}  # dead placed set -> placements below it
     held = 0  # node ids in the keys of failed
     expanded = 0
 
     def push(u: int) -> None:
-        h = heaps[len(cols[u])]
+        h = heaps[live[u]]
         if len(h) >= cap:
             h[:] = sorted(set(h))
         heappush(h, u)
@@ -186,14 +190,30 @@ def _search(cover: Cover, lim: Sequence[int], sat: Sequence[int],
             h = heaps[size]
             while h:
                 u = h[0]
-                if at[u] < 0 and len(cols[u]) == size:
+                if at[u] < 0 and live[u] == size:
                     return u
                 heappop(h)
         raise AssertionError("no unplaced vertex with a feasible node")
 
+    def block(s: int, step: int) -> None:
+        # placed node s saturates (step 1) or stops (step -1); a neighbor
+        # whose blk reaches 1 (step 1) or 0 (step -1) shifts its vertex's live
+        nonlocal starved
+        for y in adj[s]:
+            blk[y] += step
+            if blk[y] == (step > 0) and cnt[y] <= lim[y]:
+                u = vert[y]
+                live[u] -= step
+                if at[u] < 0:
+                    if not live[u]:
+                        starved = True
+                    elif dynamic:
+                        push(u)
+
     def later() -> list[int]:
-        unplaced = sorted([u for u in range(n) if at[u] < 0], key=lambda u: len(cols[u]))
-        return [x for u in unplaced[1:] for x in cols[u]]  # sorted is stable: ties stay by id
+        unplaced = sorted([u for u in range(n) if at[u] < 0], key=live.__getitem__)
+        # sorted is stable: ties stay by id
+        return [x for u in unplaced[1:] for x in own[u] if cnt[x] <= lim[x] and not blk[x]]
 
     stack: list[list] = []  # frames: [nodes, next index, count at entry, later pending]
     while True:
@@ -207,7 +227,8 @@ def _search(cover: Cover, lim: Sequence[int], sat: Sequence[int],
                 return SearchStatus.EXHAUSTED, order, node_limit + 1
         if not starved and size is None:
             u = first() if dynamic else fixed[len(order)]
-            frame = [cols[u], 0, expanded, dynamic]
+            nodes = [x for x in own[u] if cnt[x] <= lim[x] and not blk[x]]
+            frame = [nodes, 0, expanded, dynamic]
             stack.append(frame)
         else:
             frame = None
@@ -217,20 +238,21 @@ def _search(cover: Cover, lim: Sequence[int], sat: Sequence[int],
             if frame is None:
                 if not order:
                     return SearchStatus.NONE, order, expanded
-                for u, old in reversed(logs.pop()):
-                    cols[u] = old
-                    if dynamic:
-                        push(u)
+                # walk p's counters back, raising a vertex's count once
+                # per node that becomes feasible again
                 p = order.pop()
                 at[vert[p]] = -1
+                if cnt[p] == sat[p]:
+                    block(p, -1)
                 for q in adj[p]:
                     if cnt[q] == sat[q] and at[vert[q]] == q:
-                        for y in adj[q]:
-                            blk[y] -= 1
+                        block(q, -1)
+                    if cnt[q] == lim[q] + 1 and not blk[q]:
+                        u = vert[q]
+                        live[u] += 1
+                        if dynamic and at[u] < 0:
+                            push(u)
                     cnt[q] -= 1
-                if cnt[p] == sat[p]:
-                    for y in adj[p]:
-                        blk[y] -= 1
                 if dynamic:
                     push(vert[p])
                 frame = stack[-1]
@@ -247,36 +269,24 @@ def _search(cover: Cover, lim: Sequence[int], sat: Sequence[int],
         expanded += 1
         if expanded > node_limit:
             return SearchStatus.EXHAUSTED, order, expanded
-        # place p, then re-check the vertices whose lists it can change
+        # place p, dropping a vertex's count once per node that stops being feasible
         at[vert[p]] = p
         order.append(p)
-        touched = []
+        starved = False
         if cnt[p] == sat[p]:  # saturated on placement: blocks its neighbors
-            for y in adj[p]:
-                blk[y] += 1
+            block(p, 1)
         for q in adj[p]:
             cnt[q] += 1
-            u = vert[q]
-            if at[u] < 0:
-                touched.append(u)
-            elif at[u] == q and cnt[q] == sat[q]:  # q saturates now
-                for y in adj[q]:
-                    blk[y] += 1
-                    if blk[y] == 1 and at[vert[y]] < 0:
-                        touched.append(vert[y])
-        log = []
-        starved = False
-        for u in touched:
-            old = cols[u]
-            new = [x for x in own[u] if cnt[x] <= lim[x] and not blk[x]]
-            if len(new) != len(old):  # lists only shrink as nodes are placed
-                log.append((u, old))
-                cols[u] = new
-                if not new:
-                    starved = True
-                elif dynamic:
-                    push(u)
-        logs.append(log)
+            if cnt[q] == lim[q] + 1 and not blk[q]:
+                u = vert[q]
+                live[u] -= 1
+                if at[u] < 0:
+                    if not live[u]:
+                        starved = True
+                    elif dynamic:
+                        push(u)
+            if cnt[q] == sat[q] and at[vert[q]] == q:  # q saturates now
+                block(q, 1)
 
 
 def find_defective_dp(cover: Cover, d: DefectVector,

@@ -660,6 +660,29 @@ def test_verify_runs_every_check_asked_for(tmp_path, capsys):
                                    "comma-separated integers, got '0,,2'\n")
 
 
+# json keeps the last of two equal keys and int() reads "00", "+2" and " 2"
+# as vertex ids, so these were read as some other assignment, or ended in
+# int()'s own message
+@pytest.mark.parametrize("entries, message", [
+    ('"0": 1, "00": 2, "1": 2, "2": 2', "assignment key '00' is not a vertex id"),
+    ('"0": 1, "1": 2, "+2": 2', "assignment key '+2' is not a vertex id"),
+    ('"0": 1, "1": 2, "2": 2, "x": 1', "assignment key 'x' is not a vertex id"),
+    ('"0": 3, "0": 1, "1": 2, "2": 2', "key '0' appears twice"),
+], ids=["leading-zero", "plus-sign", "not-a-number", "verbatim-repeat"])
+def test_verify_rejects_a_second_spelling_of_a_vertex_key(tmp_path, capsys, entries, message):
+    g_path, t_path = tmp_path / "tri.pg", tmp_path / "t.json"
+    assert cli_dispatch(["gen", "triangle", "-o", str(g_path)]) == 0
+    assert cli_dispatch(["solve", str(g_path), "--mode", "defect", "--defects", "0,2,2",
+                         "--json", str(t_path)]) == 0
+    doc = json.loads(t_path.read_text())
+    del doc["assignment"]
+    t_path.write_text(json.dumps(doc)[:-1] + ', "assignment": {' + entries + "}}")
+    capsys.readouterr()
+    assert cli_dispatch(["verify", str(g_path), "--transversal", str(t_path),
+                         "--defects", "0,2,2"]) == 2
+    assert capsys.readouterr() == ("", f"error: malformed transversal: {message}\n")
+
+
 @pytest.mark.parametrize("argv", [
     ["gen", "k4", "-o", "{tmp}/missing/k4.pg"],
     ["discharge", "{tmp}/k4.pg", "--rules", "rs48", "--json", "{tmp}/missing/x.json"],

@@ -1,6 +1,6 @@
 """The input readers, the document writers, the cover builders, the
-transversal checkers and the profile check cost time linear in the
-input size.
+transversal checkers, the profile check and the cover searches cost time
+linear in the input size.
 
 Each one runs on a cycle:N input (the profile check on theta:N,N,N as
 well), or a document of N records, at N = 2,000 and at N = 16,000, the
@@ -20,7 +20,8 @@ from dpcharge.cover import (cover_doc, cover_from_json, cover_to_json, identity_
                             random_cover)
 from dpcharge.reporting import dump_json
 from dpcharge.rotfile import RotationFileError, parse_rotation_file, serialize_rotation_file
-from dpcharge.solver import DefectVector, OrderedTransversal, verify_ba, verify_defective
+from dpcharge.solver import (DefectVector, OrderedTransversal, find_ba, find_defective_dp,
+                             verify_ba, verify_defective)
 from dpcharge.structure import Profile, check_profile
 
 SIZES = (2_000, 16_000)
@@ -167,4 +168,29 @@ def _check_both_profiles(graphs: list) -> None:
 def test_profile_check_time_is_linear_in_input_size(family):
     small, large = (_best_seconds(_check_both_profiles, _fresh_graphs(family.format(n=n)))
                     for n in SIZES)
+    assert large / small < 20, (small, large)
+
+
+def _search_ba(cover) -> None:
+    assert find_ba(cover).nodes_expanded == cover.graph.vertex_count
+
+
+def _search_defective(cover) -> None:
+    out = find_defective_dp(cover, DefectVector((0, 2, 2)))
+    assert out.nodes_expanded == cover.graph.vertex_count
+
+
+def _searched_cover(n: int):
+    """A full k = 3 cover of cycle:n with its node graph built, so only
+    the search is timed.  Neither search backtracks on it: one node
+    expanded per vertex."""
+    cover = _full_cover(n)
+    cover.node_graph
+    return cover
+
+
+@pytest.mark.parametrize("search", [_search_ba, _search_defective],
+                         ids=["find_ba", "find_defective_dp"])
+def test_search_time_is_linear_in_input_size(search):
+    small, large = (_best_seconds(search, _searched_cover(n)) for n in SIZES)
     assert large / small < 20, (small, large)
