@@ -23,7 +23,8 @@ from .discharge import RuleSet, audit, run_rules
 from .hunt import hunt as run_hunt
 from .lemmas import Verdict, check_structural_lemmas, special_vertex_analysis
 from .planegraph import PlaneGraph
-from .reporting import TOOL_VERSION, dump_json, frac_str, ledger_to_json, reducible_to_json
+from .reporting import (TOOL_VERSION, dump_json, frac_str, ledger_to_json, read_json,
+                        reducible_to_json)
 from .rotfile import RotationFileError, graph_hash, load_rotation_file, serialize_rotation_file
 from .solver import (DEFAULT_NODE_LIMIT, DefectVector, OrderedTransversal, SearchStatus,
                      find_ba, find_defective_dp, verify_ba, verify_defective)
@@ -316,16 +317,6 @@ def _cmd_solve(args) -> int:
     return EXIT_VIOLATION
 
 
-def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
-    """A transversal object, refused if a key repeats (json keeps the last)."""
-    doc: dict = {}
-    for key, value in pairs:
-        if key in doc:
-            raise CliError(f"malformed transversal: key {key!r} appears twice")
-        doc[key] = value
-    return doc
-
-
 def _vertex_id(key: str) -> int:
     """The vertex an assignment key names: only str(v) spells vertex v."""
     try:
@@ -340,7 +331,7 @@ def _cmd_verify(args) -> int:
     g, name = _load(args.file)
     try:
         with open(args.transversal, "r", encoding="utf-8") as fh:
-            doc = json.load(fh, object_pairs_hook=_unique_keys)
+            doc = read_json(fh.read(), "malformed transversal")
     except (OSError, json.JSONDecodeError) as exc:
         raise CliError(f"cannot read transversal: {exc}")
     if not isinstance(doc, dict):

@@ -12,7 +12,6 @@ validated there; the ones built here are valid by construction.
 
 from __future__ import annotations
 
-import json
 import re
 from dataclasses import dataclass
 from functools import cached_property
@@ -22,7 +21,7 @@ from random import Random
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .planegraph import PlaneGraph
-from .reporting import dump_json
+from .reporting import dump_json, read_json
 
 Node = tuple[int, int]
 Pair = tuple[int, int]  # (color at u, color at v) for an edge (u, v) with u < v
@@ -242,8 +241,9 @@ def cover_to_json(cover: Cover) -> str:
 
 
 def cover_from_json(text: str, graph: PlaneGraph | None = None) -> Cover:
-    """Parse a cover document; a malformed or invalid one raises ValueError."""
-    return cover_from_doc(json.loads(text), graph)
+    """Parse a cover document; a malformed or invalid one, or one that
+    repeats a key, raises ValueError."""
+    return cover_from_doc(read_json(text, "cover JSON"), graph)
 
 
 def cover_from_doc(doc: object, graph: PlaneGraph | None = None) -> Cover:

@@ -568,6 +568,10 @@ def test_verify_rejects_k_below_one(tmp_path, capsys, k, flag):
     assert captured.err == f"error: invalid cover: k must be at least 1, got {k}\n"
 
 
+# deeper than the JSON decoder follows, which ended in a RecursionError
+DEEP = "[" * 1000 + "]" * 1000
+
+
 def _defect_budgets_not_a_list(doc):
     del doc["order"]
     doc["defects"] = 5
@@ -580,12 +584,13 @@ def _order_colour_a_list(doc):
 @pytest.mark.parametrize("edit,message", [
     (_defect_budgets_not_a_list, "defects must be a list"),
     (_order_colour_a_list, "order entries and defects must be integers"),
-], ids=["defects-int", "order-colour-list"])
+    (lambda doc: DEEP, "nested too deep to read"),
+], ids=["defects-int", "order-colour-list", "nested-too-deep"])
 def test_malformed_transversal_is_usage_error(tmp_path, capsys, edit, message):
     t_path = _solved_transversal(tmp_path, "k4")
     doc = json.loads(t_path.read_text())
-    edit(doc)
-    t_path.write_text(json.dumps(doc))
+    raw = edit(doc)  # the file's raw text, or None for the edited doc
+    t_path.write_text(json.dumps(doc) if raw is None else raw)
     capsys.readouterr()
     code = cli_dispatch(["verify", str(tmp_path / "solved.pg"), "--transversal", str(t_path)])
     assert code == 2
@@ -798,27 +803,36 @@ def _lists_of_other_vertices(d):
     ("solve", lambda d: _with(d, "graph", None), "embedded graph must be rotation-file text"),
     ("solve", lambda d: _with(d, "lists", {**d["lists"], "0": [1, 2, 3, 5]}),
      "color 5 has no defect budget (k=3)"),
+    ("solve", DEEP, "cover JSON: nested too deep to read"),
+    ("verify", lambda d: json.dumps(_with(d, "k", "DEEP")).replace('"DEEP"', DEEP),
+     "malformed transversal: nested too deep to read"),
+    ("solve", lambda d: json.dumps(d).replace('"0-1": ', '"0-1": [], "0-1": '),
+     "cover JSON: key '0-1' appears twice"),
 ], ids=["missing-file", "not-json", "not-an-object", "no-k", "no-lists", "no-matchings",
         "lists-not-an-object", "key-not-int-int", "matching-not-a-list", "pair-of-one",
         "float-colour", "solve-reversed-key", "solve-key-and-reversed-key",
         "verify-string-colour", "verify-string-k", "verify-reversed-key",
         "solve-lists-of-other-vertices", "verify-lists-of-other-vertices",
         "solve-embedded-graph-of-another-graph", "verify-embedded-graph-of-another-graph",
-        "embedded-graph-not-text", "colour-without-budget"])
+        "embedded-graph-not-text", "colour-without-budget", "solve-nested-too-deep",
+        "verify-nested-too-deep", "solve-repeated-key"])
 def test_malformed_cover_is_usage_error(tmp_path, capsys, command, edit, message):
     g_path, t_path = tmp_path / "k3.pg", tmp_path / "t.json"
     assert cli_dispatch(["gen", "triangle", "-o", str(g_path)]) == 0
     assert cli_dispatch(["solve", str(g_path), "--mode", "ba", "--cover", "identity",
                          "--json", str(t_path)]) == 0
     doc = json.loads(t_path.read_text())
+    cover = edit(doc["cover"]) if callable(edit) else edit
+    # a str is the cover's raw text, for what json.dumps cannot write
+    text = cover if isinstance(cover, str) else json.dumps(cover)
     if command == "verify":
-        doc["cover"] = edit(doc["cover"])
-        t_path.write_text(json.dumps(doc))
+        doc["cover"] = "COVER"
+        t_path.write_text(json.dumps(doc).replace('"COVER"', text))
         argv = ["verify", str(g_path), "--transversal", str(t_path)]
     else:
         c_path = tmp_path / "cover.json"
         if edit is not None:
-            c_path.write_text(edit if isinstance(edit, str) else json.dumps(edit(doc["cover"])))
+            c_path.write_text(text)
         argv = ["solve", str(g_path), "--mode", "defect", "--defects", "0,0,0",
                 "--cover", "json", "--cover-json", str(c_path)]
     capsys.readouterr()

@@ -63,8 +63,9 @@ def test_random_cover_seed_sensitivity():
     assert a.matchings != b.matchings
 
 
-# recorded while random_cover still drew every index with Random.randrange
-DRAW_GOLDEN = "350600b69ff17c42ab4bb8bd317041a04f55b3081cdcde3f6a46f6df1b6575ed"
+# recorded while random_cover still drew every index with Random.randrange;
+# re-derived from that output when covers went to one-line JSON
+DRAW_GOLDEN = "0084e2a1df6397f39d40a5e422434a3dd2096be9cd2ff9f4178e01a4600d46b7"
 
 
 def test_random_cover_draw_is_pinned():

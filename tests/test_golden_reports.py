@@ -18,46 +18,46 @@ from dpcharge.cli import cli_dispatch
 
 # (graph, profile) -> (sha256 of structure --json, sha256 of discharge --json)
 GOLDEN = {
-    ('triangle', 'no48'): ('fef05bc0a175d69e4eb422524f288c9fe0a54469834e2941680ce3c1db71cf9b',
-        'b6696c6e0c704ddb47092a2a2d3bcabe4e2aa628bb26e22fc1e12b9fa1c82d99'),
-    ('triangle', 'no46'): ('b2f015f7dfeb31c9f8fd334e729484138f88f0032eb9fcfe290d0b5e1988d6f2',
-        '0c776707990196ddc1d8dc716b655a8a78a4c551a26e0c85f964ade20cabea41'),
-    ('k4', 'no48'): ('83ca971524d04d1e4341bc593ad17f202a919d37f1769de01d5016d2a1b005bd',
-        '704a55e34ddacd0c58ab20cf0b11f6ef7d52d5437c730237a15c331b8026e469'),
-    ('k4', 'no46'): ('554b0cf6bbb6cd77e49c43f2c410336402bf8ea69ab886736c2295d1c8316a7d',
-        '87bbd71cf26852ff68da340fc397ddec0a59f216ae432e9e8fcae27aebd55162'),
-    ('cube', 'no48'): ('862ec02ecbbae9580715562454b0f87ff9f3e3778470a4fe0ce0278b34f873c8',
-        'd21ba1dab4801573e758729e3cd9e81b6d45706e2099598c7b0d7d4318e0fe2b'),
-    ('cube', 'no46'): ('34286e31e4183e45d103b9d1984e4b37077ac75420e26159350e4b4cc638e183',
-        'c2e863276c219d38b189ac750bc8c8dcc039b535f8ba7133b1792e79ddb92f16'),
-    ('cycle:5', 'no48'): ('0a06f7f729e5e2e9efbc6b6e146a23303218adee6cf3827d7ffb651696babe0c',
-        'bdf202cf58389f971bd0d8cd04520904b6e253bf7098a3b4a159c98cf75f1aad'),
-    ('cycle:5', 'no46'): ('5aa386f846f1d3fc86527728650d0ddf9c26374bccedbec17b575141347dfc37',
-        'ee0aedb6224a1eae1a0487a94f59f315f283af18db53be8dd0fb3c6342e37697'),
-    ('cycle:7', 'no48'): ('c33ddb4fd2fbe1ae38940970d3e0b5149cbde78b8b36e23fd7ceebea1cc75529',
-        '82d380654e6c20f9dc4bc0d51b19c72f4f5c530410ba870e7f4d329f0b9df8c8'),
-    ('cycle:7', 'no46'): ('76b0ef11a7e371f0383cd233e9a4fc88213b5013fe48533618775867f4811eaa',
-        'b1adfce729bdf023b89ffb3bfe2574e8015802ede3fb63303472fd99beda384d'),
-    ('cycle:9', 'no48'): ('923313ce59542bddef57cfba9400369ef486d1e0b435c76595ffa3f0a05cd53a',
-        'ad10cbbccf2b7f2cfc81dbc3cdf8757a5f4ccdf620db180abb14975e220f3cab'),
-    ('cycle:9', 'no46'): ('fd9d2b730fb57552ca425c8a403f55714a582f88b8209187b2c2a24124d8b3e7',
-        '0d924583aa6f62f5d30bf8721416e6ba961023c7b129da0d6ca60dacd6398027'),
-    ('dodecahedron', 'no48'): ('3d0b9ab099514e5cf6f6c8b46f2a6b494cf691bc2bd48a5a8fe76a3e7c8054f4',
-        'dbe1682a49d42881c752671e73779beb21533f54c3253b3c2f7c1c76710bd1d3'),
-    ('dodecahedron', 'no46'): ('e6920d7ad44af5766e3d4d419fc3818019248449df355b466cb2a9b06e386d4d',
-        'ed9129c5ca46633910dfe79645df09891f7ab282ff4b7dada7997c47b6c0a615'),
-    ('figure1', 'no48'): ('b7adf431c08485cc2e122e74c58b595ca31458a2b3e71bdfff507b33203bc33f',
-        '4bb8a0e74a104c241240ee4bbec9766e291e2ba6af6eaab304a4b788396658de'),
-    ('figure1', 'no46'): ('770c9a8325812e5ce274054a2aadf12cf4215b074a617a4e9397b94d81a70733',
-        '538a4f3698b69e6b06e3a54885590a46fb8f20162833d52a98d1b03d30709ba5'),
-    ('theta:1,2,2', 'no48'): ('e66c26803d5afa29d6106d6e017e8653ee546d62aa4484b99a9cc8e54a13000d',
-        '62ab338865161d9178a1750c5cea71f3774ed767d1fb2a24ffb1a0c1c6be4004'),
-    ('theta:1,2,2', 'no46'): ('432fa04543ef460d872b44103fe22733f611bd36d5472323ff9bdce39c5218d7',
-        '5ebe7b07394a936523907269b47ea15387f0a37b301e4eb69a053639c3275b8a'),
-    ('theta:3,3,3', 'no48'): ('e347fe798e5783ac554c5f0257278bf349dbdf1f154152eb25470d44b762c5c3',
-        '0d5b6ae837114529bd0908ddc75ed9b2a8212fbc58bf533674474f92cd15e102'),
-    ('theta:3,3,3', 'no46'): ('d4579e4c6cd4444ec7b037915a8115355f30527776d63166778365410955d0c7',
-        '53fa60be073d2213c62ee3b0a0c85f78ebe315744b1115b55832c1182a7529aa'),
+    ('triangle', 'no48'): ('1e7c6efcbddcf32b29d2c46113988bcd3064d8b3db10366acc7c19f7aef6fc47',
+        'af13703fed1688047235f4c3ff9cb52bf5bb70ea6d92ea5be37e064652785e25'),
+    ('triangle', 'no46'): ('691f84c0405bbbb0e16251b04e2d8af42802082a790197dd6f793cb0d2a6a806',
+        '05ccfe0a7a462f359199c0735209f6efd171dd4f026058b0c183f76656b4f210'),
+    ('k4', 'no48'): ('55b2b0eb0a822243a858cc766589babcf07551483deea5fb3ca952777ffc3934',
+        '93aef66bd261ad06eef6961972b4c5b1cc11a24df2f270ffbc4503bd94e83fcf'),
+    ('k4', 'no46'): ('f97336664d822ce6043cc4e39a9dcc9e6196745b973bbd049c6ccf8222501ec7',
+        '46a329018c12d625889b06432cad81e620266b87501142d446370ba9249d2cb3'),
+    ('cube', 'no48'): ('f0acfae2429418525204f77723152c08a4d8e2164219c77d5387dafd78868587',
+        'f7ff8a90084a07603c24e0e9ab8dfa86d1d0692167a577f89ae7640484df42b0'),
+    ('cube', 'no46'): ('3f0e498bd3961d7f566449ac70367a5bc78d67998216eeb4b48127effec5ff94',
+        '4d987d7fa8ae7d2739f1e999a7d1fa795476017c5d0e186407070a9c9a3fce0e'),
+    ('cycle:5', 'no48'): ('f2ced94fd81890da640d0c3179954cc14dbded88ced42cecdbfa279e1837d6f6',
+        'b44b104fb8ebaad8a6d5521de73d828bdac44ecc56874f0b9c4668968ea8f7f7'),
+    ('cycle:5', 'no46'): ('2103005e1ccc4863b93b48e3576637d5fefb98f929c7a096ed3dbd85070a3340',
+        'b8b968619de1e23880dfaeb68b6c77915f03c62ec44bce12bfb117b6e1f0c29c'),
+    ('cycle:7', 'no48'): ('76df25b232d4484f9e9a6c05cc0fc1a569ab61dd4414a2817fdf09e4e6f82935',
+        '95f8fef758d265cc4c7c8596e2744f3ef16e4d0a7018a83169a2818917fcc06f'),
+    ('cycle:7', 'no46'): ('07d8f3b2318cc40d25d3fa07bbc756bcaf6087d4bea8630c38d6d785799887ce',
+        '47a5185b433f6ce920252246b2d4a1b349315dda447d213e5f246c2dc5563ff7'),
+    ('cycle:9', 'no48'): ('0d3f2a53f284a75117aa98a6d842cfd18a58e0d4f2b513f37bb7af4566eacf6a',
+        'fa7ddeea249016f5792e14e7bd4adfc0626b6dc9c4bdce77f1e2fa5d8db04220'),
+    ('cycle:9', 'no46'): ('12cace40da33e26346a4e17500ca8f42c0c230bf5e69b859bea13c10452b16df',
+        '0f6cbb7a763c00cf58472cd2ef5b85bf32a5815e69a991bf04da1d931e4feee3'),
+    ('dodecahedron', 'no48'): ('f7f23d70057f71f848f619d6b3efcbc9d130bb7929c19636d745c239076d914c',
+        '3ab77bdb53486fd6aaad2ddd1caabc7fc731a25b974aa849aab9c6153087f875'),
+    ('dodecahedron', 'no46'): ('5db5d14265606e0839bb9ae71abe3b5c95a6af3de31bdb3c4100fe32f7b2fa2b',
+        'c31708275a163ac59ffd944a26b74fc8a03f7826dac81be7c6f05329cb1af41d'),
+    ('figure1', 'no48'): ('31c66fcdca1cb8f4f63e33866205dfebb2ee453b50744a1504f4b8cc5e64aa3e',
+        'd8e9e1efcac295c32bcef43871baa6d67d36ff800c2aba30a29ff732f260ca57'),
+    ('figure1', 'no46'): ('6867e97643b75d7ca95845ea7f3ab9437f7a4a68272b3e3ac2a0357da4a07c07',
+        '1950f6cda92d7a33d66cf2e820ebe0dbeb472a650386b60fd128a9c7480bfc80'),
+    ('theta:1,2,2', 'no48'): ('4b7ceb5c08fc2690325ecdb684c8cb9a5eb1c9ba1f9ca6cc2923467748534b48',
+        '27cadc12659414a6b6938e94641e66c288a6b63466964af2f6e47dd1efe7dfbc'),
+    ('theta:1,2,2', 'no46'): ('09dad95517d5e3e5ec67b8fa5e35b7c035799d98de195071436a61c7d8b5d474',
+        'aa75bfa1a253ee1a0e45ea9f32d4c4eb53815ab498ac953007033a1c25656465'),
+    ('theta:3,3,3', 'no48'): ('19d66662cf4e1451fc1d86cacc26efc8cc4861131c8f4ac1654ecfa3dff7f37c',
+        'c28dcf8b445d0ee539c0f368b96bce7220d372845547f3320838823c0ed458a7'),
+    ('theta:3,3,3', 'no46'): ('a75ca20eab8fb8ed80d0e2fbc1264d056d739be8cb8387d68b36b5ca6dad0717',
+        '17d880bdf24fc4b6c24565951334579873d91c48f8aea4167f3ce6a3c8678499'),
 }
 
 # (graph, profile) -> (sha256 of the standard output of structure --json,

@@ -1,5 +1,7 @@
-"""The package's import paths: each public name lives in its module only."""
+"""The package's import paths: each public name lives in its module only,
+and each of the format and the graph hash has one source in ``src/``."""
 
+import ast
 import importlib
 import os
 import subprocess
@@ -47,3 +49,39 @@ def test_pyproject_reads_the_version_from_the_package():
         warnings.simplefilter("ignore")  # [tool.setuptools] support is flagged beta
         config = read_configuration(Path(SRC).parent / "pyproject.toml", expand=True)
     assert config["project"]["version"] == TOOL_VERSION
+
+
+def _sites(test) -> list[str]:
+    """``module.function`` of each node of ``src/`` that ``test`` accepts;
+    ``module`` alone for a node outside any function."""
+    sites = []
+
+    def visit(node, where):
+        for child in ast.iter_child_nodes(node):
+            if test(child):
+                sites.append(where)
+            inner = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            visit(child, f"{where}.{child.name}" if inner else where)
+
+    for path in sorted(Path(SRC, "dpcharge").glob("*.py")):
+        visit(ast.parse(path.read_text(encoding="utf-8")), path.stem)
+    return sites
+
+
+def test_only_dump_json_writes_json():
+    def writes(node):
+        names = ({node.attr} if isinstance(node, ast.Attribute)
+                 and isinstance(node.value, ast.Name) and node.value.id == "json"
+                 else {a.name for a in node.names}
+                 if isinstance(node, ast.ImportFrom) and node.module == "json" else set())
+        return bool(names & {"dump", "dumps"})
+
+    assert _sites(writes) == ["reporting.dump_json"]
+
+
+def test_only_rotfile_imports_hashlib():
+    def imports(node):
+        return (isinstance(node, ast.Import) and "hashlib" in {a.name for a in node.names}
+                or isinstance(node, ast.ImportFrom) and node.module == "hashlib")
+
+    assert _sites(imports) == ["rotfile"]

@@ -1,4 +1,6 @@
-"""``dump_json`` writes exactly the bytes of the stdlib's indented writer."""
+"""``dump_json`` writes ``json.dumps(doc, sort_keys=True)``: one ASCII
+line, keys sorted.  Every JSON file the command line writes is that text
+of what it holds."""
 
 import json
 import re
@@ -9,13 +11,12 @@ from hypothesis import given, settings, strategies as st
 
 from dpcharge import cli
 from dpcharge.catalog import DEFAULT_CATALOG, generate
-from dpcharge.cover import cover_doc, identity_cover, random_cover
 from dpcharge.discharge import RuleSet, run_rules
 from dpcharge.reporting import dump_json, frac_str, ledger_to_json
 
 
 def stdlib(doc) -> str:
-    return json.dumps(doc, sort_keys=True, indent=1)
+    return json.dumps(doc, sort_keys=True)
 
 
 # strings built from the characters an encoder must get right: JSON
@@ -39,76 +40,15 @@ def deep(draw):
     return value
 
 
-@st.composite
-def shared(draw):
-    """One object reached several times, at equal and at different depths."""
-    inner = draw(VALUES)
-    return {"a": inner, "b": [inner, {"c": inner}], "d": [[inner], inner],
-            "e": draw(st.lists(st.just(inner), max_size=3))}
-
-
-@given(VALUES | deep() | shared())
+@given(VALUES | deep())
 @settings(max_examples=500, deadline=None)
 def test_dump_json_matches_stdlib(doc):
-    assert dump_json(doc) == stdlib(doc)
+    text = dump_json(doc)
+    assert text == stdlib(doc) and text.isascii() and "\n" not in text
 
 
-# -- the shapes that the writer encodes in one call or as records ---------
-
-# fragments of the text between two containers, so a string can look like
-# a join or an opener
-JOINS = st.lists(st.sampled_from(['": [', '": {', ': [', ': {', '},', '],', '}, {', '"', '\\',
-                                  ',\n ', ' ', '[', '{', 'a', '": [[', ']],', '\\"', '[]']),
-                 max_size=5).map("".join)
-KEYS = STRINGS | JOINS
-FLAT_SCALARS = st.none() | st.booleans() | st.integers(-3, 5) | st.floats() | STRINGS | JOINS
-FLAT_LIST = st.lists(FLAT_SCALARS, min_size=1, max_size=4)
-FLAT_DICT = st.dictionaries(KEYS, FLAT_SCALARS, min_size=1, max_size=4)
-FLAT = FLAT_LIST | FLAT_DICT | FLAT_LIST.map(tuple)
-# lists of flat lists or tuples, written in one call one level further
-# down; LOOSE breaks that shape the ways the writer must notice: scalars,
-# deeper or empty lists and objects among the flat lists
-NESTED = st.lists(FLAT_LIST | FLAT_LIST.map(tuple), min_size=1, max_size=4)
-LOOSE = st.lists(FLAT_LIST | FLAT_SCALARS | NESTED | st.just([]) | st.lists(FLAT_DICT, max_size=2),
-                 min_size=1, max_size=4)
-ONE_KIND = (st.lists(FLAT_LIST, min_size=1, max_size=5)
-            | st.lists(FLAT_DICT, min_size=1, max_size=5)
-            | st.dictionaries(KEYS, FLAT_LIST, min_size=1, max_size=5)
-            | st.dictionaries(KEYS, FLAT_DICT, min_size=1, max_size=5)
-            | st.lists(NESTED | NESTED.map(tuple), min_size=1, max_size=4)
-            | st.dictionaries(KEYS, NESTED | NESTED.map(tuple), min_size=1, max_size=4)
-            | st.lists(NESTED | LOOSE, min_size=1, max_size=4)
-            | st.dictionaries(KEYS, NESTED | LOOSE, min_size=1, max_size=4))
-
-
-@st.composite
-def records(draw):
-    """Objects with one key set, whose values mix scalars, flat and nested
-    containers, and objects drawn earlier: records shared within a list,
-    across lists, and at different depths."""
-    keys = draw(st.lists(KEYS, min_size=1, max_size=4, unique=True))
-    pool: list = []
-    values = FLAT_SCALARS | FLAT | ONE_KIND | st.lists(FLAT, max_size=2)
-
-    def record():
-        rec = {k: draw(values | st.sampled_from(pool) if pool else values) for k in keys}
-        pool.append(rec)
-        return rec
-
-    lists = [[record() for _ in range(draw(st.integers(1, 4)))] for _ in range(3)]
-    for lst in lists:  # repeats within a list and across lists
-        lst += draw(st.lists(st.sampled_from(pool), max_size=3))
-    return {"a": lists[0], "b": [lists[1], {"c": lists[2]}], "d": pool[0],
-            "e": [[pool[-1]], lists[0]]}
-
-
-@given(ONE_KIND | FLAT | records() | st.lists(ONE_KIND, max_size=3)
-       | st.dictionaries(KEYS, ONE_KIND, max_size=3))
-@settings(max_examples=1500, deadline=None)
-def test_dump_json_shapes_match_stdlib(doc):
-    assert dump_json(doc) == stdlib(doc)
-
-
+# keys and strings that read like JSON punctuation, beside nested lists,
+# tuples and non-str keys
 @pytest.mark.parametrize("doc", [
     {'": [': [1, 2]}, {"a": [1], ': [': [2]}, {"k": ['": [x', 1]}, {"k": [": [x"]},
     {"x": {"a": ": {"}, "y": {"b": 1}}, {'": {': {"a": 1}}, [{"a": '}, {'}, {"a": "},"}],
@@ -161,24 +101,27 @@ def test_dump_json_rejects_what_the_stdlib_rejects(doc):
 
 
 @pytest.mark.parametrize("name", DEFAULT_CATALOG)
-def test_catalog_documents_match_stdlib(name, tmp_path, monkeypatch):
-    g = generate(name)
-    written = []
-    monkeypatch.setattr(cli, "dump_json", lambda doc: written.append(doc) or dump_json(doc))
-    path = tmp_path / "g.pg"
-    assert cli.cli_dispatch(["gen", name, "-o", str(path)]) == 0
+def test_catalog_documents_match_stdlib(name, tmp_path):
+    g = str(tmp_path / "g.pg")
+    assert cli.cli_dispatch(["gen", name, "-o", g]) == 0
+    out = lambda stem: str(tmp_path / f"{stem}.json")  # noqa: E731
     for profile, rules in (("no48", "rs48"), ("no46", "rs46")):
-        out = str(tmp_path / "out.json")
-        cli.cli_dispatch(["structure", str(path), "--profile", profile, "--json", out])
-        if g.is_connected:
-            cli.cli_dispatch(["discharge", str(path), "--rules", rules, "--json", out])
-            written.append(ledger_to_json(run_rules(g, RuleSet(rules))))
-    written += [cover_doc(identity_cover(g, 3))]
-    written += [cover_doc(random_cover(g, 3, seed, full))
-                for seed in (0, 1) for full in (False, True)]
-    assert len(written) == 2 + 4 * g.is_connected + 5
-    for doc in written:
-        assert dump_json(doc) == stdlib(doc)
+        cli.cli_dispatch(["structure", g, "--profile", profile, "--json", out(profile)])
+        cli.cli_dispatch(["discharge", g, "--rules", rules, "--json", out(rules)])
+        # with k = 1 every seed a hunt runs leaves a candidate cover
+        cli.cli_dispatch(["hunt", g, "--profile", profile, "--k", "1", "--seeds", "0..1",
+                          "--json", out(f"hunt-{profile}"),
+                          "--save-dir", str(tmp_path / f"saved-{profile}")])
+    cli.cli_dispatch(["solve", g, "--mode", "ba", "--k", "5", "--json", out("ba")])
+    cli.cli_dispatch(["solve", g, "--mode", "defect", "--defects", "0,9,9", "--json", out("defect")])
+    reports = sorted(tmp_path.glob("*.json"))
+    saved = sorted(tmp_path.glob("saved-*/*.json"))
+    hunts = [json.loads((tmp_path / f"hunt-{p}.json").read_text()) for p in ("no48", "no46")]
+    embedded = [c["cover"] for doc in hunts for c in doc["candidates"]]
+    assert len(reports) == 8
+    assert len(saved) == len(embedded) == 2 * sum(not doc["skipped"] for doc in hunts)
+    for text in [f.read_text(encoding="utf-8") for f in reports + saved] + embedded:
+        assert text == stdlib(json.loads(text)) and text.isascii() and "\n" not in text
 
 
 @pytest.mark.parametrize("value,text", [
